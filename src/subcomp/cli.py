@@ -57,19 +57,6 @@ EXIT_NOINPUT = 66
 EXIT_VERIFY_FAILED = 3
 
 
-class CliConfig:
-    """Validated global knobs shared by the subcommands."""
-
-    __slots__ = ("seed", "budget", "human")
-
-    def __init__(self, seed: int = 0, budget: int = DEFAULT_SUBSET_CAP, human: bool = False):
-        if budget < 1:
-            raise SubcompError(f"budget must be at least 1, got {budget}")
-        self.seed = seed
-        self.budget = budget
-        self.human = human
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on bad usage; the contract here is 64."""
 
@@ -160,18 +147,19 @@ def cmd_solve(args) -> int:
             args.parser.error(f"--target {args.target} requires -t")
         if args.pattern is not None:
             args.parser.error("--pattern only applies to --target pattern")
-    config = CliConfig(budget=args.budget, human=args.human)
+    if args.budget < 1:
+        raise SubcompError(f"budget must be at least 1, got {args.budget}")
     g = _read_graph(args.input)
     if args.target == "pattern":
         pattern = make_pattern(parse_pattern_token(args.pattern))
-        report = brute_solve(g, pattern, cap=config.budget)
+        report = brute_solve(g, pattern, cap=args.budget)
     else:
         t = args.t
         recognizer = _degenerate_recognizer(t) if args.recognizer == "degenerate" else None
 
         def base(h: Graph) -> SolveReport:
             if args.brute:
-                return brute_solve(h, make_pattern(PatternSpec.complete(t)), cap=config.budget)
+                return brute_solve(h, make_pattern(PatternSpec.complete(t)), cap=args.budget)
             return solve_kt_free(h, t, recognizer=recognizer)
 
         if args.target == "kt":
@@ -181,7 +169,7 @@ def cmd_solve(args) -> int:
             report = solve_complement_class(
                 g, base, bar_recognizer=lambda h: is_pattern_free(h, co_target)
             )
-    _emit(report.to_json(), config.human)
+    _emit(report.to_json(), args.human)
     return {"Yes": 0, "No": 1, "Unknown": 2}[report.status]
 
 
@@ -241,16 +229,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    raw = _read_bytes(args.input)
     if args.src == "g6":
-        stripped = raw.strip()
-        if not stripped:
-            raise SubcompError("empty graph6 input")
-        g = g6_decode(stripped.splitlines()[0])
+        g = _read_graph(args.input)
     else:
         try:
-            g = graph_from_json(raw.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
+            g = graph_from_json(_read_bytes(args.input).decode("utf-8"))
+        except (ValueError, RecursionError) as exc:  # deep nesting recurses
             raise SubcompError(f"bad JSON graph: {exc}") from exc
     if args.dst == "g6":
         out = g6_encode(g) + b"\n"

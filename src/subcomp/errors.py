@@ -51,10 +51,6 @@ class InvalidT(SubcompError):
     """Clique size / construction parameter t below the operation's minimum."""
 
 
-class BadPair(SubcompError):
-    """Region query needs two distinct vertices that both lie in S."""
-
-
 class RecognizerMismatch(SubcompError):
     """Debug cross-check: recognizer accepted a graph outside the K_t-free class."""
 

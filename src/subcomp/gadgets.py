@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import InvalidT, KindMismatch, NotSatisfying, WrongWidth
-from .graphs import Graph, PatternSpec, VertexSet, complement, make_pattern
+from .graphs import Frozen, Graph, PatternSpec, VertexSet, complement, make_pattern
 from .sat import Assignment, CnfFormula, check_threshold
 
 STAR_INDUCTIVE = "StarInductive"
@@ -38,7 +38,7 @@ class Role(NamedTuple):
     index: tuple
 
 
-class GadgetInstance:
+class GadgetInstance(Frozen):
     """A generated gadget graph plus per-vertex roles and build parameters."""
 
     __slots__ = ("graph", "kind", "roles", "params")
@@ -53,9 +53,6 @@ class GadgetInstance:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "roles", roles)
         object.__setattr__(self, "params", dict(params))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GadgetInstance is immutable")
 
     def vertices_with_role(self, name: str, *prefix) -> list[int]:
         """Vertices whose role matches the name and leading index entries."""
@@ -89,6 +86,12 @@ class _Builder:
         for i, u in enumerate(verts):
             for v in verts[i + 1 :]:
                 self.edge(u, v)
+
+    def join_all(self, groups: list[list[int]]):
+        """Make every two of the vertex groups fully adjacent."""
+        for i, a in enumerate(groups):
+            for other in groups[i + 1 :]:
+                self.all_adj(a, other)
 
     def block(self, verts: list[int], pattern: Graph):
         """Lay a pattern graph onto verts, slot i playing pattern vertex i."""
@@ -135,9 +138,7 @@ def _inductive(gprime: Graph, t: int, kind: str) -> GadgetInstance:
             b.all_adj([u], verts)
         roles.extend(Role("block", (u, slot)) for slot in range(block_size))
     if kind == CYCLE_INDUCTIVE:
-        for u in range(np):
-            for v in range(u + 1, np):
-                b.all_adj(block_verts(u), block_verts(v))
+        b.join_all([block_verts(u) for u in range(np)])
     graph = b.finish(_labels_from_roles(roles))
     return GadgetInstance(graph, kind, roles, {"t": t, "source": gprime})
 
@@ -174,6 +175,12 @@ def _require_exact_4sat(phi: CnfFormula):
         raise WrongWidth(f"gadget needs exact 4-SAT, got width {phi.k}")
 
 
+def _lit(i: int, side: int) -> int:
+    """Index of a literal vertex in the K15, P7 and P8 layouts, which put
+    the 2n literal vertices first."""
+    return 2 * (i - 1) + side
+
+
 def _literal_vertex(lit: int) -> tuple[int, int]:
     """(variable, side) of a literal vertex; side 0 is the positive one."""
     return abs(lit), 0 if lit > 0 else 1
@@ -195,9 +202,6 @@ def k15_gadget(phi: CnfFormula, add_dummy_clause: bool = False) -> GadgetInstanc
     b = _Builder(total)
     roles: list[Optional[Role]] = [None] * total
 
-    def lit(i, side):
-        return 2 * (i - 1) + side
-
     def hang(i, s, slot):
         return 2 * n + ((i - 1) * 4 + (s - 1)) * 5 + slot
 
@@ -205,7 +209,7 @@ def k15_gadget(phi: CnfFormula, add_dummy_clause: bool = False) -> GadgetInstanc
         return 22 * n + (i - 1) * 5 + slot
 
     for i in range(1, n + 1):
-        u, up = lit(i, 0), lit(i, 1)
+        u, up = _lit(i, 0), _lit(i, 1)
         roles[u] = Role("literal", (i, 0))
         roles[up] = Role("literal", (i, 1))
         b.edge(u, up)
@@ -226,7 +230,7 @@ def k15_gadget(phi: CnfFormula, add_dummy_clause: bool = False) -> GadgetInstanc
         all_clause_verts.extend(verts)
         for litval in phi.clauses[i - 1]:
             var, side = _literal_vertex(litval)
-            b.all_adj([lit(var, side)], verts)
+            b.all_adj([_lit(var, side)], verts)
     b.clique(all_clause_verts)
 
     graph = b.finish(_labels_from_roles(roles))
@@ -246,9 +250,6 @@ def _p_gadget(phi: CnfFormula, block_size: int) -> GadgetInstance:
     roles: list[Optional[Role]] = [None] * total
     pbar = complement(make_pattern(PatternSpec.path(block_size)))
 
-    def lit(i, side):
-        return 2 * (i - 1) + side
-
     def hang(i, side, s, slot):
         return 2 * n + ((i - 1) * 6 + side * 3 + (s - 1)) * block_size + slot
 
@@ -257,12 +258,12 @@ def _p_gadget(phi: CnfFormula, block_size: int) -> GadgetInstance:
 
     group = {}  # variable -> all vertices of its literal pair and six chains
     for i in range(1, n + 1):
-        u, up = lit(i, 0), lit(i, 1)
+        u, up = _lit(i, 0), _lit(i, 1)
         roles[u] = Role("literal", (i, 0))
         roles[up] = Role("literal", (i, 1))
         members = [u, up]
         for side in (0, 1):
-            prev = [lit(i, side)]
+            prev = [_lit(i, side)]
             for s in (1, 2, 3):
                 verts = [hang(i, side, s, j) for j in range(block_size)]
                 b.block(verts, pbar)
@@ -273,19 +274,11 @@ def _p_gadget(phi: CnfFormula, block_size: int) -> GadgetInstance:
                 prev = verts
         group[i] = members
 
-    # hanging sets see everything outside their own variable's group
-    group_mask = {}
-    for i, members in group.items():
-        mask = 0
-        for v in members:
-            mask |= 1 << v
-        group_mask[i] = mask
-    for i in range(1, n + 1):
-        outside = [v for v in range(total) if not (group_mask[i] >> v) & 1]
-        hanging = [
-            v for v in group[i] if roles[v] is not None and roles[v].name == "hanging"
-        ]
-        b.all_adj(hanging, outside)
+    # hanging sets (all of a group but its two literal vertices) see
+    # everything outside their own variable's group
+    for members in group.values():
+        inside = set(members)
+        b.all_adj(members[2:], [v for v in range(total) if v not in inside])
 
     pairs = [(1, 2), (2, 3), (3, 4)]
     clause_members = []
@@ -293,7 +286,7 @@ def _p_gadget(phi: CnfFormula, block_size: int) -> GadgetInstance:
         lits = phi.clauses[i - 1]
         in_clause = {_literal_vertex(l) for l in lits}
         outside_lits = [
-            lit(var, side)
+            _lit(var, side)
             for var in range(1, n + 1)
             for side in (0, 1)
             if (var, side) not in in_clause
@@ -304,7 +297,7 @@ def _p_gadget(phi: CnfFormula, block_size: int) -> GadgetInstance:
             verts = [clause_block(i, 0, j) for j in range(block_size)]
             b.block(verts, pbar)
             var, side = _literal_vertex(lits[0])
-            b.all_adj([lit(var, side)], verts)
+            b.all_adj([_lit(var, side)], verts)
             b.all_adj(outside_lits, verts)
             for j, v in enumerate(verts):
                 roles[v] = Role("clause_single", (i, 1, j))
@@ -315,16 +308,14 @@ def _p_gadget(phi: CnfFormula, block_size: int) -> GadgetInstance:
             b.block(verts, pbar)
             for pos in (s, t_):
                 var, side = _literal_vertex(lits[pos - 1])
-                b.all_adj([lit(var, side)], verts)
+                b.all_adj([_lit(var, side)], verts)
             b.all_adj(outside_lits, verts)
             for j, v in enumerate(verts):
                 roles[v] = Role("clause_pair", (i, s, t_, j))
             members.extend(verts)
             blk += 1
         clause_members.append(members)
-    for i in range(m):
-        for j in range(i + 1, m):
-            b.all_adj(clause_members[i], clause_members[j])
+    b.join_all(clause_members)
 
     graph = b.finish(_labels_from_roles(roles))
     kind = P8 if block_size == 8 else P7
@@ -388,49 +379,43 @@ def c8_gadget(phi: CnfFormula) -> GadgetInstance:
                 roles[v] = Role("clause_pair", (i, s, t_, j))
             members.extend(verts)
         clause_members.append(members)
-    for i in range(m):
-        for j in range(i + 1, m):
-            b.all_adj(clause_members[i], clause_members[j])
+    b.join_all(clause_members)
 
     graph = b.finish(_labels_from_roles(roles))
     return GadgetInstance(graph, C8, roles, {"phi": phi})
 
 
+def _literal_role(inst: GadgetInstance) -> str:
+    """Role of the vertices standing for literals: one vertex per literal,
+    or for C8 a four-vertex clique per literal."""
+    if inst.kind not in _SAT_KINDS:
+        raise KindMismatch(f"{inst.kind} instances carry no assignment mapping")
+    return "literal_set" if inst.kind == C8 else "literal"
+
+
 def solution_from_assignment(inst: GadgetInstance, a: Assignment) -> VertexSet:
     """The certificate the hardness proofs pick for a threshold-2 assignment:
     one literal vertex per variable, or the whole true-side clique for C8."""
-    if inst.kind not in _SAT_KINDS:
-        raise KindMismatch(f"{inst.kind} instances carry no assignment mapping")
+    role = _literal_role(inst)
     phi: CnfFormula = inst.params["phi"]
     if not check_threshold(phi, a, 2):
         raise NotSatisfying("assignment misses the two-true-literals threshold")
     members = []
-    if inst.kind == C8:
-        for i in range(1, phi.n + 1):
-            side = 0 if a[i] else 1
-            members.extend(inst.vertices_with_role("literal_set", i, side))
-    else:
-        for i in range(1, phi.n + 1):
-            side = 0 if a[i] else 1
-            members.extend(inst.vertices_with_role("literal", i, side))
+    for i in range(1, phi.n + 1):
+        members.extend(inst.vertices_with_role(role, i, 0 if a[i] else 1))
     return VertexSet.from_members(members, inst.graph.n)
 
 
 def assignment_from_solution(inst: GadgetInstance, s: VertexSet) -> Assignment:
-    """Read an assignment straight off a vertex set; no validity check here,
+    """Read an assignment straight off a vertex set: a variable is true when
+    all of its positive literal vertices are in s. No validity check here,
     callers verify the set downstream."""
-    if inst.kind not in _SAT_KINDS:
-        raise KindMismatch(f"{inst.kind} instances carry no assignment mapping")
+    role = _literal_role(inst)
     phi: CnfFormula = inst.params["phi"]
-    values = []
-    for i in range(1, phi.n + 1):
-        if inst.kind == C8:
-            positives = inst.vertices_with_role("literal_set", i, 0)
-            values.append(all(v in s for v in positives))
-        else:
-            (u,) = inst.vertices_with_role("literal", i, 0)
-            values.append(u in s)
-    return Assignment(values)
+    return Assignment(
+        all(v in s for v in inst.vertices_with_role(role, i, 0))
+        for i in range(1, phi.n + 1)
+    )
 
 
 _SIZE_FORMULAS = {

@@ -21,7 +21,41 @@ from .errors import (
 )
 
 
-class Graph:
+class Frozen:
+    """Base of the package's immutable value types.
+
+    Subclasses declare __slots__ and fill them once with object.__setattr__;
+    any later assignment raises. Equality and hashing compare _key(), which
+    defaults to every slot in declaration order.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+def _checked_labels(labels, n: int):
+    if labels is None:
+        return None
+    labels = tuple(labels)
+    if len(labels) != n:
+        raise ValueError(f"expected {n} labels, one per vertex, got {len(labels)}")
+    return labels
+
+
+class Graph(Frozen):
     """Undirected simple graph on vertices 0..n-1 with bitrow adjacency.
 
     rows[v] has bit u set iff uv is an edge; rows are symmetric and
@@ -50,13 +84,9 @@ class Graph:
                 u = ubit.bit_length() - 1
                 if not (rows[u] >> v) & 1:
                     raise ValueError(f"adjacency not symmetric at ({u}, {v})")
-        if labels is not None:
-            labels = tuple(labels)
-            if len(labels) != n:
-                raise ValueError("labels must have exactly one entry per vertex")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", _checked_labels(labels, n))
 
     # Internal constructor for operations that guarantee the invariants.
     @classmethod
@@ -67,8 +97,8 @@ class Graph:
         object.__setattr__(g, "labels", labels)
         return g
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Graph is immutable")
+    def _key(self) -> tuple:
+        return (self.n, self.rows)
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.rows[u] >> v) & 1)
@@ -92,19 +122,11 @@ class Graph:
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return self.n == other.n and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.rows))
-
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count()})"
 
 
-class VertexSet:
+class VertexSet(Frozen):
     """Subset of the vertices of an n-vertex graph, as a bitmask plus its cap."""
 
     __slots__ = ("bits", "cap")
@@ -128,9 +150,6 @@ class VertexSet:
     def empty(cls, cap: int) -> "VertexSet":
         return cls(0, cap)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("VertexSet is immutable")
-
     def members(self) -> tuple[int, ...]:
         out = []
         m = self.bits
@@ -149,19 +168,11 @@ class VertexSet:
     def __iter__(self) -> Iterator[int]:
         return iter(self.members())
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, VertexSet):
-            return NotImplemented
-        return self.bits == other.bits and self.cap == other.cap
-
-    def __hash__(self) -> int:
-        return hash((self.bits, self.cap))
-
     def __repr__(self) -> str:
         return f"VertexSet({set(self.members()) or '{}'}, cap={self.cap})"
 
 
-class PatternSpec:
+class PatternSpec(Frozen):
     """Recipe for a named pattern graph (complete, empty, path, cycle, star,
     or the complement of another spec)."""
 
@@ -178,9 +189,6 @@ class PatternSpec:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "inner", inner)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PatternSpec is immutable")
 
     @classmethod
     def complete(cls, t: int) -> "PatternSpec":
@@ -253,7 +261,7 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]], labels=None) -> G
             raise ValueError(f"self-loop at vertex {u}")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return Graph._unchecked(n, tuple(rows), tuple(labels) if labels else None)
+    return Graph._unchecked(n, tuple(rows), _checked_labels(labels, n))
 
 
 def complement(g: Graph) -> Graph:
@@ -328,7 +336,7 @@ def no_instance(h: Graph) -> Graph:
     return cross_product(complement(h), h)
 
 
-class InducedCopy:
+class InducedCopy(Frozen):
     """Witness of an induced copy: mapping[i] is the host vertex playing
     pattern vertex i."""
 
@@ -337,9 +345,6 @@ class InducedCopy:
     def __init__(self, mapping: tuple[int, ...], cap: int):
         object.__setattr__(self, "mapping", tuple(mapping))
         object.__setattr__(self, "cap", cap)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("InducedCopy is immutable")
 
     @property
     def vertices(self) -> VertexSet:
@@ -610,20 +615,30 @@ def graph_to_json(g: Graph) -> str:
     return json.dumps(doc)
 
 
+def _is_int(x) -> bool:
+    # JSON true/false arrive as bool, which Python counts as int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def graph_from_json(text: str) -> Graph:
+    """Parse the JSON graph form. `n` must be a nonnegative integer, `edges`
+    a list of distinct integer pairs, and `labels`, when present and not
+    null, a list of exactly n strings. Violations raise ValueError."""
     doc = json.loads(text)
     if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
         raise ValueError("graph JSON needs 'n' and 'edges' fields")
     n = doc["n"]
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise ValueError("'n' must be a nonnegative integer")
+    if not isinstance(doc["edges"], list):
+        raise ValueError("'edges' must be a list")
     seen = set()
     edges = []
     for item in doc["edges"]:
         if not (isinstance(item, list) and len(item) == 2):
             raise ValueError(f"edge entry {item!r} is not a pair")
         u, v = item
-        if not (isinstance(u, int) and isinstance(v, int)):
+        if not (_is_int(u) and _is_int(v)):
             raise ValueError(f"edge entry {item!r} is not an integer pair")
         key = (min(u, v), max(u, v))
         if key in seen:
@@ -631,4 +646,8 @@ def graph_from_json(text: str) -> Graph:
         seen.add(key)
         edges.append((u, v))
     labels = doc.get("labels")
+    if labels is not None and not (
+        isinstance(labels, list) and all(isinstance(x, str) for x in labels)
+    ):
+        raise ValueError("'labels' must be a list of strings")
     return graph_from_edges(n, edges, labels)

@@ -19,11 +19,12 @@ from .errors import (
     TooManyVariables,
     WidthTooSmall,
 )
+from .graphs import Frozen
 
 BRUTE_SAT_VARIABLE_LIMIT = 24
 
 
-class CnfFormula:
+class CnfFormula(Frozen):
     """CNF with every clause exactly k literals over k distinct variables.
 
     Literals are DIMACS-style signed integers; within a clause they are
@@ -63,26 +64,15 @@ class CnfFormula:
         object.__setattr__(self, "clauses", tuple(normalized))
         object.__setattr__(self, "k", k)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("CnfFormula is immutable")
-
     @property
     def m(self) -> int:
         return len(self.clauses)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CnfFormula):
-            return NotImplemented
-        return (self.n, self.k, self.clauses) == (other.n, other.k, other.clauses)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.k, self.clauses))
 
     def __repr__(self) -> str:
         return f"CnfFormula(n={self.n}, m={self.m}, k={self.k})"
 
 
-class Assignment:
+class Assignment(Frozen):
     """Truth values for variables 1..n; values[j] belongs to variable j+1."""
 
     __slots__ = ("values",)
@@ -90,23 +80,12 @@ class Assignment:
     def __init__(self, values: Iterable[bool]):
         object.__setattr__(self, "values", tuple(bool(v) for v in values))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Assignment is immutable")
-
     def __len__(self) -> int:
         return len(self.values)
 
     def __getitem__(self, var: int) -> bool:
         """Truth value of variable `var` (1-based, as in literals)."""
         return self.values[var - 1]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Assignment):
-            return NotImplemented
-        return self.values == other.values
-
-    def __hash__(self) -> int:
-        return hash(self.values)
 
     def to_json(self) -> dict:
         return {"values": list(self.values)}

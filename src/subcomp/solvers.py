@@ -13,11 +13,13 @@ from __future__ import annotations
 import time
 from typing import Callable, Optional
 
-from .errors import BadPair, CapMismatch, InvalidT, PatternTooSmall, RecognizerMismatch
+from .errors import InvalidT, PatternTooSmall, RecognizerMismatch
 from .graphs import (
+    Frozen,
     Graph,
     PatternSpec,
     VertexSet,
+    complement,
     induced,
     is_pattern_free,
     make_pattern,
@@ -32,7 +34,7 @@ NO = "No"
 UNKNOWN = "Unknown"
 
 
-class SolveReport:
+class SolveReport(Frozen):
     """Outcome of one solver run.
 
     status is Yes, No, or Unknown; solution is present exactly when status
@@ -57,9 +59,6 @@ class SolveReport:
         object.__setattr__(self, "solution", solution)
         object.__setattr__(self, "stats", dict(stats))
         object.__setattr__(self, "verified", verified)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SolveReport is immutable")
 
     def to_json(self) -> dict:
         return {
@@ -98,84 +97,32 @@ def brute_solve(g: Graph, h: Graph, cap: int = DEFAULT_SUBSET_CAP) -> SolveRepor
     if h.n < 1:
         raise PatternTooSmall("forbidden pattern must have at least one vertex")
     start = time.perf_counter()
+    examined = 0
+
+    def report(status, solution=None):
+        stats = {
+            "subsets_examined": examined,
+            "pairs_examined": 0,
+            "elapsed": time.perf_counter() - start,
+        }
+        return SolveReport(status, solution, stats, solution is not None)
+
     if h.n == 1:
         # only the null graph avoids an induced single vertex
-        stats = {"subsets_examined": 0, "pairs_examined": 0, "elapsed": time.perf_counter() - start}
-        if g.n == 0:
-            return SolveReport(YES, VertexSet.empty(0), stats, True)
-        return SolveReport(NO, None, stats, False)
-    examined = 0
+        return report(YES, VertexSet.empty(0)) if g.n == 0 else report(NO)
     for mask in _subsets_by_cardinality(g.n):
         if examined >= cap:
-            return SolveReport(
-                UNKNOWN,
-                None,
-                {"subsets_examined": examined, "pairs_examined": 0, "elapsed": time.perf_counter() - start},
-                False,
-            )
+            return report(UNKNOWN)
         examined += 1
         s = VertexSet(mask, g.n)
         if is_pattern_free(subgraph_complement(g, s), h):
-            return SolveReport(
-                YES,
-                s,
-                {"subsets_examined": examined, "pairs_examined": 0, "elapsed": time.perf_counter() - start},
-                True,
-            )
-    return SolveReport(
-        NO,
-        None,
-        {"subsets_examined": examined, "pairs_examined": 0, "elapsed": time.perf_counter() - start},
-        False,
-    )
+            return report(YES, s)
+    return report(NO)
 
 
 def kt_free_recognizer(t: int) -> Callable[[Graph], bool]:
     kt = make_pattern(PatternSpec.complete(t))
     return lambda g: is_pattern_free(g, kt)
-
-
-class EightRegions:
-    """The eight blocks around an ordered solution pair (u, v): common
-    neighbors, common non-neighbors, and the two exclusive neighborhoods,
-    each split into its part inside S and its part outside."""
-
-    __slots__ = (
-        "s_common",
-        "s_neither",
-        "s_u_only",
-        "s_v_only",
-        "t_common",
-        "t_neither",
-        "t_u_only",
-        "t_v_only",
-        "u",
-        "v",
-        "cap",
-    )
-
-    def __init__(self, u, v, cap, **blocks):
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "cap", cap)
-        for name in self.__slots__[:8]:
-            object.__setattr__(self, name, blocks[name])
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EightRegions is immutable")
-
-    def as_dict(self) -> dict[str, VertexSet]:
-        return {name: getattr(self, name) for name in self.__slots__[:8]}
-
-    def region_pairs(self) -> list[tuple[VertexSet, VertexSet]]:
-        """(inside-S, outside-S) halves of the four regions, in the order
-        common / neither / u-only / v-only."""
-        return [
-            (self.s_common, self.t_common),
-            (self.s_neither, self.t_neither),
-            (self.s_u_only, self.t_u_only),
-            (self.s_v_only, self.t_v_only),
-        ]
 
 
 def _region_masks(g: Graph, u: int, v: int) -> tuple[int, int, int, int]:
@@ -190,27 +137,6 @@ def _region_masks(g: Graph, u: int, v: int) -> tuple[int, int, int, int]:
     c = nu & ~(nv | vb) & ~ub
     d = nv & ~(nu | ub) & ~vb
     return a, b, c, d
-
-
-def pair_regions(g: Graph, s: VertexSet, u: int, v: int) -> EightRegions:
-    """Decompose V(G) \\ {u, v} by adjacency to the pair and membership in s."""
-    if s.cap != g.n:
-        raise CapMismatch("vertex set must index this graph")
-    if u == v or u not in s or v not in s:
-        raise BadPair(f"({u}, {v}) must be two distinct members of the set")
-    a, b, c, d = _region_masks(g, u, v)
-    sb = s.bits
-    blocks = {
-        "s_common": VertexSet(a & sb, g.n),
-        "t_common": VertexSet(a & ~sb, g.n),
-        "s_neither": VertexSet(b & sb, g.n),
-        "t_neither": VertexSet(b & ~sb, g.n),
-        "s_u_only": VertexSet(c & sb, g.n),
-        "t_u_only": VertexSet(c & ~sb, g.n),
-        "s_v_only": VertexSet(d & sb, g.n),
-        "t_v_only": VertexSet(d & ~sb, g.n),
-    }
-    return EightRegions(u, v, g.n, **blocks)
 
 
 def solve_kt_free(
@@ -314,8 +240,6 @@ def solve_complement_class(
     (membership in the class complementing g should land in) is supplied,
     a Yes answer is re-verified against it directly.
     """
-    from .graphs import complement
-
     inner = base_solve(complement(g))
     if inner.status != YES:
         return inner

@@ -14,10 +14,10 @@ from math import comb
 from typing import Optional
 
 from .errors import InvalidArgs, InvalidSeed
-from .graphs import Graph, VertexSet, complement
+from .graphs import Frozen, Graph, VertexSet, complement
 
 
-class RamseyBound:
+class RamseyBound(Frozen):
     """Value of (an upper bound on) the Ramsey number R(p, q), with a flag
     saying whether the value is known to be exact."""
 
@@ -28,9 +28,6 @@ class RamseyBound:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "exact", exact)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RamseyBound is immutable")
 
     def __repr__(self) -> str:
         tag = "exact" if self.exact else "upper bound"
@@ -84,11 +81,7 @@ def _least_clique(rows, within: int, size: int) -> Optional[int]:
     return grow(0, 0, within)
 
 
-def has_clique(g: Graph, within: int, size: int) -> bool:
-    return _least_clique(g.rows, within, size) is not None
-
-
-class SplitPartition:
+class SplitPartition(Frozen):
     """A concrete (p, q)-split partition of some graph."""
 
     __slots__ = ("p", "q", "P", "Q")
@@ -98,17 +91,6 @@ class SplitPartition:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "Q", Q)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SplitPartition is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SplitPartition):
-            return NotImplemented
-        return (self.p, self.q, self.P, self.Q) == (other.p, other.q, other.P, other.Q)
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.q, self.P, self.Q))
 
     def to_json(self) -> dict:
         return {
@@ -122,27 +104,31 @@ class SplitPartition:
         return f"SplitPartition(p={self.p}, q={self.q}, P={set(self.P.members()) or '{}'}, Q={set(self.Q.members()) or '{}'})"
 
 
-def is_split_partition(g: Graph, p: int, q: int, pbits: int, qbits: int) -> bool:
+def is_split_partition(
+    g: Graph, p: int, q: int, pbits: int, qbits: int, co_rows: Optional[tuple] = None
+) -> bool:
     """Check the two sides directly: no K_{p+1} in P, no (q+1)-independent
-    set in Q."""
+    set in Q. co_rows, the rows of complement(g), saves rebuilding the
+    complement when the caller checks many candidates on one graph."""
     full = (1 << g.n) - 1
     if (pbits | qbits) != full or (pbits & qbits):
         return False
-    if has_clique(g, pbits, p + 1):
+    if _least_clique(g.rows, pbits, p + 1) is not None:
         return False
-    co = complement(g)
-    if _least_clique(co.rows, qbits, q + 1) is not None:
-        return False
-    return True
+    if co_rows is None:
+        co_rows = complement(g).rows
+    return _least_clique(co_rows, qbits, q + 1) is None
 
 
 def find_split_partition(g: Graph, p: int, q: int) -> Optional[SplitPartition]:
     """One (p, q)-split partition of g, or None when the graph has none.
 
     Branching on cliques: while the tentative P side still holds a K_{p+1},
-    one of its vertices must move to Q; recurse over the p+1 choices. The Q
-    side is pruned as soon as it gains a (q+1)-independent set, so the tree
-    has branching p+1 and depth bounded by the Ramsey argument.
+    one of its vertices must move to Q; branch over the p+1 choices, lowest
+    vertex first. The Q side is pruned as soon as it gains a
+    (q+1)-independent set. The depth-first search runs on an explicit stack,
+    so a deep branch (up to n levels) cannot exhaust the interpreter's
+    recursion limit.
     """
     if p < 1 or q < 1:
         raise InvalidArgs(f"split parameters must be positive, got ({p}, {q})")
@@ -150,31 +136,26 @@ def find_split_partition(g: Graph, p: int, q: int) -> Optional[SplitPartition]:
     co_rows = complement(g).rows
     full = (1 << g.n) - 1
     seen = set()
-
-    def solve(qbits: int) -> Optional[int]:
+    stack = [0]
+    while stack:
+        qbits = stack.pop()
         if qbits in seen:
-            return None
+            continue
         seen.add(qbits)
         if _least_clique(co_rows, qbits, q + 1) is not None:
-            return None
+            continue
         clique = _least_clique(rows, full & ~qbits, p + 1)
         if clique is None:
-            return qbits
-        m = clique
-        while m:
-            vbit = m & -m
-            m ^= vbit
-            got = solve(qbits | vbit)
-            if got is not None:
-                return got
-        return None
-
-    qbits = solve(0)
-    if qbits is None:
-        return None
-    return SplitPartition(
-        p, q, VertexSet(full & ~qbits, g.n), VertexSet(qbits, g.n)
-    )
+            return SplitPartition(
+                p, q, VertexSet(full & ~qbits, g.n), VertexSet(qbits, g.n)
+            )
+        branches = []
+        while clique:
+            vbit = clique & -clique
+            clique ^= vbit
+            branches.append(qbits | vbit)
+        stack.extend(reversed(branches))  # lowest vertex is popped first
+    return None
 
 
 def enumerate_split_partitions(
@@ -191,7 +172,8 @@ def enumerate_split_partitions(
         raise InvalidArgs(f"split parameters must be positive, got ({p}, {q})")
     if seed.P.cap != g.n or seed.Q.cap != g.n:
         raise InvalidSeed("seed partition does not index this graph")
-    if not is_split_partition(g, p, q, seed.P.bits, seed.Q.bits):
+    co_rows = complement(g).rows
+    if not is_split_partition(g, p, q, seed.P.bits, seed.Q.bits, co_rows):
         raise InvalidSeed("seed is not a valid split partition of this graph")
     bound = ramsey_bound(p + 1, q + 1).value
     pmem = seed.P.members()
@@ -207,7 +189,7 @@ def enumerate_split_partitions(
                     if pb in found:
                         continue
                     qb = (seed.Q.bits ^ ym) | xm
-                    if is_split_partition(g, p, q, pb, qb):
+                    if is_split_partition(g, p, q, pb, qb, co_rows):
                         found[pb] = qb
     return [
         SplitPartition(p, q, VertexSet(pb, g.n), VertexSet(qb, g.n))

@@ -13,6 +13,7 @@ import itertools
 import random
 from typing import Iterator, Optional
 
+from .errors import InvalidArgs
 from .gadgets import (
     c8_gadget,
     cycle_inductive,
@@ -78,7 +79,7 @@ def _summary(suite: str, cases: int, failures: list[dict]) -> dict:
     }
 
 
-def run_gs(max_n: int = 5) -> dict:
+def run_gs(max_n: int = 5, seed: int = 0) -> dict:
     """Complementing inside S commutes with taking the whole-graph
     complement; exhaustive over every graph and subset up to max_n."""
     cases = 0
@@ -94,7 +95,7 @@ def run_gs(max_n: int = 5) -> dict:
     return _summary("gs", cases, failures)
 
 
-def run_dual(max_n: int = 4) -> dict:
+def run_dual(max_n: int = 4, seed: int = 0) -> dict:
     """Solving g against complement-of-P_3-free must mirror solving the
     complement graph against P_3-free, certificate included."""
     p3 = make_pattern(PatternSpec.path(3))
@@ -116,10 +117,10 @@ def run_dual(max_n: int = 4) -> dict:
     return _summary("dual", cases, failures)
 
 
-def run_kt_oracle(max_n: int = 5, seed: int = 0, t: int = 3, sample: int = 200) -> dict:
-    """Structured solver versus brute force at K_t. Exhaustive through
-    n = 5; beyond that a seeded random sample per order."""
-    kt = make_pattern(PatternSpec.complete(t))
+def run_kt_oracle(max_n: int = 5, seed: int = 0) -> dict:
+    """Structured solver versus brute force at K_3. Exhaustive through
+    n = 5; beyond that 200 seeded random graphs per order."""
+    kt = make_pattern(PatternSpec.complete(3))
     rng = random.Random(seed)
     cases = 0
     failures = []
@@ -127,7 +128,7 @@ def run_kt_oracle(max_n: int = 5, seed: int = 0, t: int = 3, sample: int = 200) 
     def check(g: Graph):
         nonlocal cases
         cases += 1
-        fast = solve_kt_free(g, t)
+        fast = solve_kt_free(g, 3)
         slow = brute_solve(g, kt)
         if fast.status != slow.status:
             failures.append(_dump(g, detail=f"fast={fast.status} brute={slow.status}"))
@@ -140,7 +141,7 @@ def run_kt_oracle(max_n: int = 5, seed: int = 0, t: int = 3, sample: int = 200) 
         for g in all_graphs(n):
             check(g)
     for n in range(6, max_n + 1):
-        for _ in range(sample):
+        for _ in range(200):
             check(random_graph(rng, n))
     return _summary("kt-oracle", cases, failures)
 
@@ -159,13 +160,13 @@ def _side_ok(g: Graph, members: tuple[int, ...], clique_side: bool, limit: int) 
     return True
 
 
-def run_split(max_n: int = 8, seed: int = 0, cases: int = 300) -> dict:
+def run_split(max_n: int = 8, seed: int = 0) -> dict:
     """Split-partition enumeration against the exhaustive bipartition oracle,
-    plus the pairwise difference and count bounds."""
+    plus the pairwise difference and count bounds, on 300 seeded graphs."""
     rng = random.Random(seed)
     failures = []
     ran = 0
-    for _ in range(cases):
+    for _ in range(300):
         ran += 1
         n = rng.randint(0, max_n)
         p = rng.randint(1, 2)
@@ -224,17 +225,20 @@ _GADGETS = {
 }
 
 
-def run_gadget(seed: int = 0, cases: int = 3) -> dict:
+def run_gadget(max_n: int = 6, seed: int = 0) -> dict:
     """Forward soundness and size formulas for the four 4-SAT gadgets on
-    seeded satisfiable formulas (single-clause instances keep this quick)."""
+    three seeded satisfiable formulas each, with 4..max_n variables
+    (single-clause instances keep this quick)."""
+    if max_n < 4:
+        raise InvalidArgs(f"4-SAT formulas need at least 4 variables, got max_n={max_n}")
     rng = random.Random(seed)
     failures = []
     ran = 0
     for name, (build, pattern_spec) in _GADGETS.items():
         pattern = make_pattern(pattern_spec)
-        for _ in range(cases):
+        for _ in range(3):
             ran += 1
-            phi = random_satisfiable_formula(rng, max_m=1)
+            phi = random_satisfiable_formula(rng, max_n=max_n, max_m=1)
             inst = build(phi)
             if inst.graph.n != expected_size(inst):
                 failures.append(_dump(inst.graph, detail=f"{name} size formula"))
@@ -246,7 +250,7 @@ def run_gadget(seed: int = 0, cases: int = 3) -> dict:
     return _summary("gadget", ran, failures)
 
 
-def run_inductive(max_n: int = 2) -> dict:
+def run_inductive(max_n: int = 2, seed: int = 0) -> dict:
     """Double-brute equivalence of the three inductive constructions on
     every source graph up to max_n vertices (cycle capped at two to keep the
     lifted instances within exhaustive reach)."""
@@ -287,12 +291,8 @@ SUITES = {
 
 
 def run_suite(name: str, max_n: Optional[int] = None, seed: int = 0) -> dict:
+    """Run one suite; max_n None keeps the suite's own default. The
+    exhaustive suites (gs, dual, inductive) take no randomness and ignore
+    the seed."""
     fn = SUITES[name]
-    kwargs = {}
-    if max_n is not None:
-        kwargs["max_n"] = max_n
-    if name in ("kt-oracle", "split", "gadget"):
-        kwargs["seed"] = seed
-    if name == "gadget":
-        kwargs.pop("max_n", None)
-    return fn(**kwargs)
+    return fn(seed=seed) if max_n is None else fn(max_n, seed)

@@ -35,7 +35,6 @@ from subcomp import (
     no_instance,
     p7_gadget,
     p8_gadget,
-    pair_regions,
     path_inductive,
     ramsey_bound,
     solution_from_assignment,
@@ -344,14 +343,16 @@ def test_criterion_06_solution_pairs_induce_split_regions():
         solutions_checked += 1
         members = list(report.solution.members())
         for u, v in itertools.combinations(members, 2):
-            regions = pair_regions(g, report.solution, u, v)
-            for s_part, t_part in regions.region_pairs():
-                region_bits = s_part.bits | t_part.bits
-                verts = [w for w in range(g.n) if (region_bits >> w) & 1]
-                sub = induced(g, VertexSet(region_bits, g.n))
-                pos = {w: i for i, w in enumerate(verts)}
-                pbits = sum(1 << pos[w] for w in t_part.members())
-                qbits = sum(1 << pos[w] for w in s_part.members())
+            # the four regions by definition: common neighbours, common
+            # non-neighbours, and the two exclusive neighbourhoods
+            regions = {key: [] for key in itertools.product((True, False), repeat=2)}
+            for w in range(g.n):
+                if w not in (u, v):
+                    regions[(g.has_edge(u, w), g.has_edge(v, w))].append(w)
+            for verts in regions.values():
+                sub = induced(g, VertexSet.from_members(verts, g.n))
+                pbits = sum(1 << i for i, w in enumerate(verts) if w not in report.solution)
+                qbits = sum(1 << i for i, w in enumerate(verts) if w in report.solution)
                 if not is_split_partition(sub, 2, 2, pbits, qbits):
                     failures += 1
     assert solutions_checked > 100

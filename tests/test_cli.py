@@ -7,6 +7,9 @@ gets pinned here.
 
 import io
 import json
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -259,6 +262,26 @@ class TestVerify:
         assert code == 3
         assert last_json(capsys)["failures"][0]["graph6"] == "Bw"
 
+    def test_gadget_max_n_sets_variable_count(self, capsys, monkeypatch):
+        import subcomp.verify as verify
+
+        sizes = []
+        original = verify.random_satisfiable_formula
+
+        def spy(rng, max_n=6, max_m=2):
+            phi = original(rng, max_n=max_n, max_m=max_m)
+            sizes.append(phi.n)
+            return phi
+
+        monkeypatch.setattr(verify, "random_satisfiable_formula", spy)
+        assert main(["verify", "gadget", "--max-n", "4"]) == 0
+        assert last_json(capsys)["cases"] == 12
+        assert sizes == [4] * 12
+
+    def test_gadget_max_n_below_four_exits_65(self, capsys):
+        assert main(["verify", "gadget", "--max-n", "3"]) == 65
+        assert json.loads(capsys.readouterr().err)["error"] == "InvalidArgs"
+
     def test_human_verdict_line(self, capsys):
         code = main(["verify", "inductive", "--max-n", "1", "--human"])
         out = capsys.readouterr().out
@@ -301,3 +324,32 @@ class TestConvert:
         path.write_bytes(b"\n")
         code = main(["convert", "--from", "g6", "--to", "json", str(path)])
         assert code == 65
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": True, "edges": []},
+            {"n": 2, "edges": [[True, False]]},
+            {"n": 2, "edges": [], "labels": [0, 1]},
+            {"n": 2, "edges": [], "labels": ["a", "b", "c"]},
+        ],
+    )
+    def test_hostile_json_exits_65(self, tmp_path, capsys, doc):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))
+        code = main(["convert", "--from", "json", "--to", "g6", str(path)])
+        assert code == 65
+        assert json.loads(capsys.readouterr().err)["error"] == "SubcompError"
+
+    def test_deeply_nested_json_exits_65(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code = main(["convert", "--from", "json", "--to", "g6", str(path)])
+        assert code == 65
+
+
+def test_import_does_not_load_dataclasses():
+    # every CLI launch pays the import; dataclasses pulls in inspect and ast
+    code = "import sys, subcomp.cli; assert 'dataclasses' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

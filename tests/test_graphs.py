@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subcomp.errors import CapMismatch, InvalidPattern, MalformedG6, NullGraph, PatternTooSmall
+from subcomp.gadgets import GadgetInstance
 from subcomp.graphs import (
     Graph,
     InducedCopy,
@@ -31,6 +32,9 @@ from subcomp.graphs import (
     no_instance,
     subgraph_complement,
 )
+from subcomp.sat import Assignment, CnfFormula
+from subcomp.solvers import SolveReport
+from subcomp.split import RamseyBound, SplitPartition
 
 
 @st.composite
@@ -88,6 +92,12 @@ class TestConstruction:
         assert a == b
         assert hash(a) == hash(b)
         assert a.labels == ("x", "y")
+
+    def test_graph_from_edges_checks_label_count(self):
+        with pytest.raises(ValueError, match="labels"):
+            graph_from_edges(3, [(0, 1)], labels=["a"])
+        with pytest.raises(ValueError, match="labels"):
+            Graph(2, [0b10, 0b01], labels=["a", "b", "c"])
 
     def test_null_graph_is_legal(self):
         g = Graph(0, [])
@@ -400,3 +410,60 @@ class TestJson:
     def test_bad_documents_rejected(self, text):
         with pytest.raises(ValueError):
             graph_from_json(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": true, "edges": []}',
+            '{"n": 2, "edges": [[true, false]]}',
+            '{"n": 2, "edges": [[0, true]]}',
+            '{"n": 2, "edges": {"0": 1}}',
+            '{"n": 2, "edges": [], "labels": [1, 2]}',
+            '{"n": 2, "edges": [], "labels": ["a", "b", "c"]}',
+            '{"n": 2, "edges": [], "labels": ["a"]}',
+            '{"n": 2, "edges": [], "labels": "ab"}',
+        ],
+    )
+    def test_hostile_documents_rejected(self, text):
+        with pytest.raises(ValueError):
+            graph_from_json(text)
+
+    def test_null_labels_mean_none(self):
+        assert graph_from_json('{"n": 1, "edges": [], "labels": null}').labels is None
+
+
+_VS = VertexSet.from_members([0], 2)
+_VALUE_MAKERS = {
+    "Graph": lambda: graph_from_edges(2, [(0, 1)]),
+    "VertexSet": lambda: VertexSet.from_members([0], 2),
+    "PatternSpec": lambda: PatternSpec.complement_of(PatternSpec.path(4)),
+    "InducedCopy": lambda: InducedCopy((1, 0), 2),
+    "RamseyBound": lambda: RamseyBound(3, 3, 6, True),
+    "SplitPartition": lambda: SplitPartition(1, 1, _VS, VertexSet(0b10, 2)),
+    "SolveReport": lambda: SolveReport("Yes", _VS, {"elapsed": 0.0}, True),
+    "GadgetInstance": lambda: GadgetInstance(Graph(0, []), "K15", [], {"phi": None}),
+    "CnfFormula": lambda: CnfFormula(4, [[1, -2, 3, 4]]),
+    "Assignment": lambda: Assignment([True, False]),
+}
+
+
+class TestFrozen:
+    """Every value class is immutable and compares by value."""
+
+    @pytest.mark.parametrize("name", list(_VALUE_MAKERS))
+    def test_immutable_with_value_equality(self, name):
+        make = _VALUE_MAKERS[name]
+        a, b = make(), make()
+        assert type(a).__name__ == name
+        assert a == b and a is not b
+        assert not (a != b)
+        with pytest.raises(AttributeError, match=f"{name} is immutable"):
+            a.extra = 1
+        with pytest.raises(AttributeError, match=f"{name} is immutable"):
+            setattr(a, type(a).__slots__[0], None)
+
+    def test_hash_follows_equality(self):
+        assert hash(PatternSpec.path(4)) == hash(PatternSpec.path(4))
+        assert PatternSpec.path(4) != PatternSpec.cycle(4)
+        assert VertexSet(1, 2) != VertexSet(1, 3)
+        assert VertexSet(1, 2) != Graph(0, [])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subcomp.errors import BadPair, InvalidT, PatternTooSmall, RecognizerMismatch
+from subcomp.errors import InvalidT, PatternTooSmall, RecognizerMismatch
 from subcomp.graphs import (
     Graph,
     PatternSpec,
@@ -20,12 +20,11 @@ from subcomp.graphs import (
     subgraph_complement,
 )
 from subcomp.solvers import (
-    EightRegions,
     SolveReport,
+    _region_masks,
     _subsets_by_cardinality,
     brute_solve,
     kt_free_recognizer,
-    pair_regions,
     solve_complement_class,
     solve_kt_free,
 )
@@ -247,49 +246,27 @@ class TestComplementClass:
 
 
 class TestPairRegions:
+    """_region_masks against the adjacency definition of the four regions."""
+
     def test_k4_example(self):
         k4 = make_pattern(PatternSpec.complete(4))
-        s = VertexSet.from_members([0, 1, 2], 4)
-        r = pair_regions(k4, s, 0, 1)
-        assert r.s_common == VertexSet.from_members([2], 4)
-        assert r.t_common == VertexSet.from_members([3], 4)
-        for name, block in r.as_dict().items():
-            if name not in ("s_common", "t_common"):
-                assert len(block) == 0
+        assert _region_masks(k4, 0, 1) == (0b1100, 0, 0, 0)
 
     def test_pair_only_set(self):
         p4 = make_pattern(PatternSpec.path(4))
-        r = pair_regions(p4, VertexSet.from_members([1, 2], 4), 1, 2)
-        assert all(len(b) == 0 for b in (r.s_common, r.s_neither, r.s_u_only, r.s_v_only))
-
-    @pytest.mark.parametrize("u,v", [(0, 0), (0, 3), (3, 1)])
-    def test_bad_pairs(self, u, v):
-        k4 = make_pattern(PatternSpec.complete(4))
-        with pytest.raises(BadPair):
-            pair_regions(k4, VertexSet.from_members([0, 1, 2], 4), u, v)
+        # 0 sees only 1 and 3 sees only 2
+        assert _region_masks(p4, 1, 2) == (0, 0, 0b0001, 0b1000)
 
     @given(graphs(min_n=2, max_n=7), st.data())
     @settings(max_examples=200, deadline=None)
     def test_partition_invariant(self, g, data):
-        bits = data.draw(
-            st.integers(min_value=0, max_value=(1 << g.n) - 1).filter(
-                lambda b: bin(b).count("1") >= 2
-            )
+        u, v = data.draw(
+            st.lists(st.integers(0, g.n - 1), min_size=2, max_size=2, unique=True)
         )
-        s = VertexSet(bits, g.n)
-        members = s.members()
-        u, v = members[0], members[1]
-        r = pair_regions(g, s, u, v)
-        blocks = list(r.as_dict().values())
-        union = 0
-        total = 0
-        for b in blocks:
-            union |= b.bits
-            total += len(b)
-        uv = (1 << u) | (1 << v)
-        assert union | uv == (1 << g.n) - 1
-        assert total + 2 == g.n  # pairwise disjoint given the union check
-        s_side = r.s_common.bits | r.s_neither.bits | r.s_u_only.bits | r.s_v_only.bits
-        assert s_side | uv == s.bits
-        t_side = r.t_common.bits | r.t_neither.bits | r.t_u_only.bits | r.t_v_only.bits
-        assert t_side == ((1 << g.n) - 1) & ~s.bits
+        # common, neither, u only, v only: keyed by (w ~ u, w ~ v)
+        order = {(True, True): 0, (False, False): 1, (True, False): 2, (False, True): 3}
+        expected = [0, 0, 0, 0]
+        for w in range(g.n):
+            if w not in (u, v):
+                expected[order[(g.has_edge(u, w), g.has_edge(v, w))]] |= 1 << w
+        assert _region_masks(g, u, v) == tuple(expected)

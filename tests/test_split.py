@@ -119,6 +119,55 @@ class TestFindSplitPartition:
             assert is_split_partition(g, p, q, got.P.bits, got.Q.bits)
 
 
+    def test_deep_branch_needs_no_recursion(self):
+        # K_n at p = q = 1 moves one vertex to Q per level, n - 1 levels
+        got = find_split_partition(make_pattern(PatternSpec.complete(1200)), 1, 1)
+        assert len(got.Q) == 1199
+        assert got.P.members() == (1199,)
+
+    @given(graphs(max_n=8), st.integers(1, 3), st.integers(1, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_same_partition_as_recursive_search(self, g, p, q):
+        """The search visits Q sides in the order of a plain recursive
+        depth-first search over the vertices of the least clique."""
+
+        def has_clique(verts, size, edge):
+            return any(
+                all(edge(a, b) for a, b in itertools.combinations(combo, 2))
+                for combo in itertools.combinations(verts, size)
+            )
+
+        def least_clique(verts, size):
+            for combo in itertools.combinations(verts, size):
+                if all(g.has_edge(a, b) for a, b in itertools.combinations(combo, 2)):
+                    return combo
+            return None
+
+        seen = set()
+
+        def solve(qset):
+            if qset in seen:
+                return None
+            seen.add(qset)
+            if has_clique(sorted(qset), q + 1, lambda a, b: not g.has_edge(a, b)):
+                return None
+            clique = least_clique([v for v in range(g.n) if v not in qset], p + 1)
+            if clique is None:
+                return qset
+            for v in clique:
+                got = solve(qset | {v})
+                if got is not None:
+                    return got
+            return None
+
+        expected = solve(frozenset())
+        got = find_split_partition(g, p, q)
+        if expected is None:
+            assert got is None
+        else:
+            assert got.Q == VertexSet.from_members(expected, g.n)
+
+
 class TestEnumerate:
     def test_path_on_three_has_exactly_three(self):
         p3 = make_pattern(PatternSpec.path(3))

@@ -160,7 +160,7 @@ def cmd_solve(args) -> int:
         def base(h: Graph) -> SolveReport:
             if args.brute:
                 return brute_solve(h, make_pattern(PatternSpec.complete(t)), cap=args.budget)
-            return solve_kt_free(h, t, recognizer=recognizer)
+            return solve_kt_free(h, t, recognizer=recognizer, cap=args.budget)
 
         if args.target == "kt":
             report = base(g)
@@ -259,7 +259,7 @@ def build_parser() -> _Parser:
     solve.add_argument("--recognizer", choices=("ktfree", "degenerate"), default="ktfree")
     solve.add_argument("--brute", action="store_true", help="bypass the structured solver")
     solve.add_argument("--budget", type=int, default=DEFAULT_SUBSET_CAP,
-                       help="subset cap for brute force")
+                       help="candidate-set cap for either solver")
     solve.add_argument("--human", action="store_true")
     solve.add_argument("input", help="graph6 file, or - for stdin")
     solve.set_defaults(func=cmd_solve, parser=solve)

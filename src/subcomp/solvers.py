@@ -3,13 +3,15 @@
 Given G and a forbidden pattern H, find S ⊆ V(G) so that complementing the
 induced subgraph on S leaves no induced copy of H. brute_solve sweeps every
 subset and works for any H; solve_kt_free exploits the structure of complete
-patterns: around any two vertices of a solution, the four neighborhood
-regions must admit (t-1, t-1)-split partitions, and the solution restricted
-to each region shows up as the Q side of one of them.
+patterns: around the two smallest vertices of a solution, each of the four
+neighborhood regions must admit a split partition whose Q side is the
+solution restricted to that region, with split parameters fixed per region
+(see solve_kt_free).
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from typing import Callable, Optional
 
@@ -103,6 +105,7 @@ def brute_solve(g: Graph, h: Graph, cap: int = DEFAULT_SUBSET_CAP) -> SolveRepor
         stats = {
             "subsets_examined": examined,
             "pairs_examined": 0,
+            "pairs_pruned": 0,
             "elapsed": time.perf_counter() - start,
         }
         return SolveReport(status, solution, stats, solution is not None)
@@ -144,19 +147,29 @@ def solve_kt_free(
     t: int,
     recognizer: Optional[Callable[[Graph], bool]] = None,
     debug_check: bool = False,
+    cap: int = DEFAULT_SUBSET_CAP,
 ) -> SolveReport:
     """Decide whether some subset complements g into a K_t-free graph.
 
-    Any solution with at least two members u < v restricts, on each of the
-    four regions around the pair, to the Q side of a (t-1, t-1)-split
-    partition of that region. Enumerating all split partitions per region
-    and recombining therefore covers every candidate; solutions smaller than
-    two members only exist when g is already K_t-free, which step 0 handles.
+    Take a solution S with at least two members and let u < v be its two
+    smallest. In G' = G ⊕ S a vertex outside S keeps its adjacency to u and
+    v, and a vertex inside S has both flipped. K_t-freeness of G' therefore
+    splits each region around the pair into its part outside S (P side) and
+    its part inside S (Q side) as a (p, q)-split partition, with (t-2, t-1)
+    on the common neighbours, (t-1, t-2) on the common non-neighbours and
+    (t-2, t-2) on each exclusive neighbourhood. Parameters are clamped at 1,
+    which only admits more partitions. Every vertex below v other than u
+    lies outside S, so the enumeration keeps it on the P side, and each S is
+    examined from its own pair only. Solutions smaller than two members only
+    exist when g is already K_t-free, which step 0 handles.
 
     The recognizer decides membership in the target class (default: K_t-free
-    by induced-subgraph search). With debug_check on, every recognizer
-    verdict is cross-checked against the default and a disagreement raises
+    by induced-subgraph search); the region argument holds for any subclass
+    of the K_t-free graphs. With debug_check on, every recognizer verdict is
+    cross-checked against the default and a disagreement raises
     RecognizerMismatch.
+
+    Stops with Unknown after examining `cap` candidate sets.
     """
     if t < 1:
         raise InvalidT(f"clique order must be positive, got {t}")
@@ -176,12 +189,14 @@ def solve_kt_free(
 
     start = time.perf_counter()
     pairs = 0
+    pruned = 0
     examined = 0
 
     def report(status, solution=None):
         stats = {
             "subsets_examined": examined,
             "pairs_examined": pairs,
+            "pairs_pruned": pruned,
             "elapsed": time.perf_counter() - start,
         }
         return SolveReport(status, solution, stats, solution is not None)
@@ -192,19 +207,26 @@ def solve_kt_free(
         # K_1-free means null; complementing never removes vertices
         return report(NO)
 
+    lo, hi = max(t - 2, 1), t - 1
+    # in _region_masks order: common, neither, u only, v only
+    params = ((lo, hi), (hi, lo), (lo, lo), (lo, lo))
     for u in range(g.n):
         for v in range(u + 1, g.n):
             pairs += 1
-            masks = _region_masks(g, u, v)
+            below_v = (1 << v) - 1
             region_lists = []
-            for mask in masks:
-                verts = VertexSet(mask, g.n).members()
-                sub = induced(g, VertexSet(mask, g.n))
-                seed = find_split_partition(sub, t - 1, t - 1)
+            for mask, (p, q) in zip(_region_masks(g, u, v), params):
+                region = VertexSet(mask, g.n)
+                verts = region.members()
+                sub = induced(g, region)
+                seed = find_split_partition(sub, p, q)
                 if seed is None:
-                    region_lists = None
                     break
-                parts = enumerate_split_partitions(sub, t - 1, t - 1, seed)
+                # the region's vertices below v come first in local order
+                forced = (1 << (mask & below_v).bit_count()) - 1
+                parts = enumerate_split_partitions(sub, p, q, seed, forced)
+                if not parts:
+                    break
                 # map each Q side back to whole-graph vertex indices
                 qmasks = []
                 for sp in parts:
@@ -213,18 +235,17 @@ def solve_kt_free(
                         qb |= 1 << verts[j]
                     qmasks.append(qb)
                 region_lists.append(qmasks)
-            if region_lists is None:
+            if len(region_lists) < 4:
+                pruned += 1
                 continue
-            qa_list, qb_list, qc_list, qd_list = region_lists
             uv = (1 << u) | (1 << v)
-            for qa in qa_list:
-                for qb in qb_list:
-                    for qc in qc_list:
-                        for qd in qd_list:
-                            examined += 1
-                            s = VertexSet(qa | qb | qc | qd | uv, g.n)
-                            if recognizer(subgraph_complement(g, s)):
-                                return report(YES, s)
+            for qa, qb, qc, qd in itertools.product(*region_lists):
+                if examined >= cap:
+                    return report(UNKNOWN)
+                examined += 1
+                s = VertexSet(qa | qb | qc | qd | uv, g.n)
+                if recognizer(subgraph_complement(g, s)):
+                    return report(YES, s)
     return report(NO)
 
 

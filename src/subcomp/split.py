@@ -159,14 +159,17 @@ def find_split_partition(g: Graph, p: int, q: int) -> Optional[SplitPartition]:
 
 
 def enumerate_split_partitions(
-    g: Graph, p: int, q: int, seed: SplitPartition
+    g: Graph, p: int, q: int, seed: SplitPartition, forced_p: int = 0
 ) -> list[SplitPartition]:
-    """All (p, q)-split partitions of g, grown from one seed partition.
+    """All (p, q)-split partitions of g with Q disjoint from the bitmask
+    forced_p, grown from one seed partition.
 
     Any other partition (P', Q') satisfies |P ∩ Q'| and |Q ∩ P'| below
     R(p+1, q+1), so sweeping bounded exchanges X ⊆ P, Y ⊆ Q and validating
-    each candidate finds every partition. Results are deduplicated by the
-    P-side bitmask and returned sorted by it.
+    each candidate finds every partition. A forced vertex never joins X, and
+    every Y holds the forced part of the seed's Q side; when that part alone
+    reaches the bound, no partition qualifies. Results are deduplicated by
+    the P-side bitmask and returned sorted by it.
     """
     if p < 1 or q < 1:
         raise InvalidArgs(f"split parameters must be positive, got ({p}, {q})")
@@ -176,15 +179,19 @@ def enumerate_split_partitions(
     if not is_split_partition(g, p, q, seed.P.bits, seed.Q.bits, co_rows):
         raise InvalidSeed("seed is not a valid split partition of this graph")
     bound = ramsey_bound(p + 1, q + 1).value
-    pmem = seed.P.members()
-    qmem = seed.Q.members()
+    must = seed.Q.bits & forced_p
+    y_room = bound - 1 - must.bit_count()
+    if y_room < 0:
+        return []
+    pmem = VertexSet(seed.P.bits & ~forced_p, g.n).members()
+    qmem = VertexSet(seed.Q.bits & ~forced_p, g.n).members()
     found: dict[int, int] = {}
     for xs in range(min(bound - 1, len(pmem)) + 1):
         for x_combo in itertools.combinations(pmem, xs):
             xm = sum(1 << v for v in x_combo)
-            for ys in range(min(bound - 1, len(qmem)) + 1):
+            for ys in range(min(y_room, len(qmem)) + 1):
                 for y_combo in itertools.combinations(qmem, ys):
-                    ym = sum(1 << v for v in y_combo)
+                    ym = must | sum(1 << v for v in y_combo)
                     pb = (seed.P.bits ^ xm) | ym
                     if pb in found:
                         continue

@@ -294,5 +294,7 @@ def run_suite(name: str, max_n: Optional[int] = None, seed: int = 0) -> dict:
     """Run one suite; max_n None keeps the suite's own default. The
     exhaustive suites (gs, dual, inductive) take no randomness and ignore
     the seed."""
+    if max_n is not None and max_n < 0:
+        raise InvalidArgs(f"max_n must be nonnegative, got {max_n}")
     fn = SUITES[name]
     return fn(seed=seed) if max_n is None else fn(max_n, seed)

@@ -108,6 +108,25 @@ class TestSolve:
         assert code == 2
         assert last_json(capsys)["status"] == "Unknown"
 
+    @pytest.mark.parametrize(
+        "target,g6",
+        [
+            ("kt", g6_encode(complement(no_instance(make_pattern(PatternSpec.complete(3)))))),
+            ("kt-bar", NO_K3_G6),
+        ],
+    )
+    def test_budget_caps_structured_solver(self, tmp_path, capsys, target, g6):
+        # both inputs send the structured K_3 solver to the complement of
+        # no_instance(K3), a No instance with more than one candidate
+        code = main([
+            "solve", "--target", target, "-t", "3", "--budget", "1",
+            write_g6(tmp_path, g6),
+        ])
+        report = last_json(capsys)
+        assert code == 2
+        assert report["status"] == "Unknown"
+        assert report["stats"]["subsets_examined"] == 1
+
     def test_degenerate_recognizer_stays_sound(self, tmp_path, capsys):
         # C_5 has degeneracy 2 <= t-2 for t=4, so the subclass recognizer
         # accepts immediately; the answer must still be a real one.
@@ -280,6 +299,11 @@ class TestVerify:
 
     def test_gadget_max_n_below_four_exits_65(self, capsys):
         assert main(["verify", "gadget", "--max-n", "3"]) == 65
+        assert json.loads(capsys.readouterr().err)["error"] == "InvalidArgs"
+
+    @pytest.mark.parametrize("suite", ["split", "kt-oracle"])
+    def test_negative_max_n_exits_65(self, capsys, suite):
+        assert main(["verify", suite, "--max-n", "-1"]) == 65
         assert json.loads(capsys.readouterr().err)["error"] == "InvalidArgs"
 
     def test_human_verdict_line(self, capsys):

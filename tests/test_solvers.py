@@ -1,6 +1,7 @@
 """Brute-force and structured solvers, cross-checked against each other."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,7 @@ from subcomp.solvers import (
     solve_complement_class,
     solve_kt_free,
 )
+from subcomp.verify import all_graphs, random_graph
 
 K2 = make_pattern(PatternSpec.complete(2))
 K3 = make_pattern(PatternSpec.complete(3))
@@ -108,6 +110,7 @@ class TestBruteSolve:
         r = brute_solve(no_instance(K3), K3, cap=17)
         assert r.status == "Unknown"
         assert r.stats["subsets_examined"] == 17
+        assert r.stats["pairs_pruned"] == 0
 
     def test_deterministic(self):
         g = make_pattern(PatternSpec.cycle(6))
@@ -170,6 +173,57 @@ class TestSolveKtFree:
         assert fast.status == slow.status
         if fast.status == "Yes":
             assert is_pattern_free(subgraph_complement(g, fast.solution), kt)
+
+    def test_pairs_pruned_counts_skipped_pairs(self):
+        r = solve_kt_free(no_instance(K3), 3)
+        assert r.status == "No"
+        assert 0 < r.stats["pairs_pruned"] <= r.stats["pairs_examined"]
+
+    def test_cap_yields_unknown(self):
+        # complement(no_instance(K3)) is a No instance with many candidates
+        g = complement(no_instance(K3))
+        assert solve_kt_free(g, 3).stats["subsets_examined"] > 3
+        r = solve_kt_free(g, 3, cap=3)
+        assert r.status == "Unknown"
+        assert r.stats["subsets_examined"] == 3
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_each_candidate_once_on_g16(self, seed):
+        # Every candidate holds its pair, so distinct candidates flip
+        # distinct edge sets: the recognizer must never see a graph twice,
+        # and the count stays below the 2^16 subsets brute force would try.
+        seen = []
+        base = kt_free_recognizer(3)
+
+        def recording(gg):
+            seen.append(gg.rows)
+            return base(gg)
+
+        r = solve_kt_free(random_graph(random.Random(seed), 16), 3, recognizer=recording)
+        assert r.stats["subsets_examined"] < 2**16
+        assert len(seen) == len(set(seen)) == r.stats["subsets_examined"] + 1
+
+    def test_degenerate_subclass_matches_brute_force(self):
+        """Target the (t-2)-degenerate graphs, a subclass of the K_t-free
+        ones: every graph with n <= 5 and seeded graphs with n = 6, against
+        a sweep over all subsets with the same recognizer."""
+        rng = random.Random(11)
+        pool = [g for n in range(6) for g in all_graphs(n)]
+        pool += [random_graph(rng, 6) for _ in range(150)]
+        for t in (2, 3, 4):
+
+            def recognize(gg):
+                return gg.n == 0 or degeneracy(gg) <= t - 2
+
+            for g in pool:
+                want = any(
+                    recognize(subgraph_complement(g, VertexSet(m, g.n)))
+                    for m in range(1 << g.n)
+                )
+                r = solve_kt_free(g, t, recognizer=recognize)
+                assert (r.status == "Yes") == want, (g.rows, t)
+                if want:
+                    assert recognize(subgraph_complement(g, r.solution))
 
     def test_narrower_recognizer_is_honored(self):
         # target the (t-2)-degenerate subclass of K_t-free graphs

@@ -1,6 +1,7 @@
 """Split-partition search and enumeration against an exhaustive oracle."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from subcomp.split import (
     is_split_partition,
     ramsey_bound,
 )
+from subcomp.verify import all_graphs, random_graph
 
 
 @st.composite
@@ -220,6 +222,39 @@ class TestEnumerate:
         for a, b in itertools.combinations(got, 2):
             assert (a.P.bits & b.Q.bits).bit_count() <= bound - 1
             assert (a.Q.bits & b.P.bits).bit_count() <= bound - 1
+
+    def test_forced_p_matches_filtered_oracle(self):
+        """With forced_p, exactly the oracle's partitions whose Q side misses
+        the forced vertices: every graph with n <= 4 and every forced set
+        from the search's seed, then seeded graphs with n <= 9, each grown
+        from a random valid seed with a random forced set."""
+
+        def check(g, p, q, seed, forced):
+            expected = [pb for pb in oracle_partitions(g, p, q) if pb & forced == forced]
+            got = enumerate_split_partitions(g, p, q, seed, forced)
+            assert [sp.P.bits for sp in got] == expected, (g.rows, p, q, forced)
+            assert all(sp.Q.bits & forced == 0 for sp in got)
+
+        for n in range(5):
+            for g in all_graphs(n):
+                for p, q in itertools.product((1, 2), repeat=2):
+                    seed = find_split_partition(g, p, q)
+                    if seed is not None:
+                        for forced in range(1 << n):
+                            check(g, p, q, seed, forced)
+        rng = random.Random(5)
+        checked = 0
+        while checked < 150:
+            g = random_graph(rng, rng.randint(5, 9))
+            p, q = rng.randint(1, 2), rng.randint(1, 2)
+            valid = oracle_partitions(g, p, q)
+            if not valid:
+                continue
+            pb = rng.choice(valid)
+            full = (1 << g.n) - 1
+            seed = SplitPartition(p, q, VertexSet(pb, g.n), VertexSet(full ^ pb, g.n))
+            check(g, p, q, seed, rng.getrandbits(g.n) & rng.getrandbits(g.n))
+            checked += 1
 
     def test_enumeration_is_seed_independent(self):
         # growing from any valid partition must reach the same set

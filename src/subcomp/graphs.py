@@ -354,73 +354,6 @@ class InducedCopy(Frozen):
         return f"InducedCopy({self.mapping})"
 
 
-def _search_induced(g: Graph, h: Graph, root_is_min: bool) -> Optional[tuple[int, ...]]:
-    """Backtracking embedding search over pattern vertices in index order,
-    with bitmask candidate domains shrunk by adjacency consistency against
-    every placed vertex. With root_is_min, only embeddings whose pattern
-    vertex 0 sits on the copy's minimum host vertex are considered (sound
-    exactly when the pattern is vertex-transitive)."""
-    hn, gn = h.n, g.n
-    if hn > gn:
-        return None
-    gfull = (1 << gn) - 1
-    gdeg = [row.bit_count() for row in g.rows]
-    base = []
-    for j in range(hn):
-        dj = h.rows[j].bit_count()
-        cj = hn - 1 - dj
-        m = 0
-        for v in range(gn):
-            if gdeg[v] >= dj and gn - 1 - gdeg[v] >= cj:
-                m |= 1 << v
-        if not m:
-            return None
-        base.append(m)
-
-    grows = g.rows
-    hrows = h.rows
-    mapping = [0] * hn
-
-    def extend(j: int, doms: list[int]) -> bool:
-        cand = doms[0]
-        while cand:
-            vbit = cand & -cand
-            cand ^= vbit
-            v = vbit.bit_length() - 1
-            mapping[j] = v
-            if j + 1 == hn:
-                return True
-            grow = grows[v]
-            gnon = gfull ^ grow ^ vbit
-            if j == 0 and root_is_min:
-                gnon &= ~(vbit - 1)
-                grow &= ~(vbit - 1)
-            hrow = hrows[j]
-            nxt = []
-            ok = True
-            for k in range(j + 1, hn):
-                d = doms[k - j] & (grow if (hrow >> k) & 1 else gnon)
-                if not d:
-                    ok = False
-                    break
-                nxt.append(d)
-            if ok and extend(j + 1, nxt):
-                return True
-        return False
-
-    if extend(0, base):
-        return tuple(mapping)
-    return None
-
-
-def find_induced(g: Graph, h: Graph) -> Optional[InducedCopy]:
-    """Lexicographically least induced embedding of h into g, or None."""
-    if h.n < 1:
-        raise PatternTooSmall("pattern must have at least one vertex")
-    got = _search_induced(g, h, False)
-    return InducedCopy(got, g.n) if got is not None else None
-
-
 def _is_vertex_transitive_shape(h: Graph) -> bool:
     """Cheap sufficient test for vertex transitivity: complete, empty, a
     single cycle, or the complement of one. Enough for the patterns where
@@ -449,15 +382,103 @@ def _is_vertex_transitive_shape(h: Graph) -> bool:
     return False
 
 
-def is_pattern_free(g: Graph, h: Graph) -> bool:
+class Pattern(Frozen):
+    """A pattern graph prepared once for any number of induced searches.
+
+    It holds what a search needs from the pattern alone: the distinct
+    (degree, non-degree) pairs a host vertex must reach to play a pattern
+    vertex, and whether the pattern is vertex-transitive, which lets a
+    freeness test anchor pattern vertex 0 at the copy's minimum host vertex.
+    """
+
+    __slots__ = ("graph", "vertex_transitive", "_needs", "_need_of")
+
+    def __init__(self, h: Graph):
+        if h.n < 1:
+            raise PatternTooSmall("pattern must have at least one vertex")
+        per_vertex = [(row.bit_count(), h.n - 1 - row.bit_count()) for row in h.rows]
+        needs = tuple(dict.fromkeys(per_vertex))
+        object.__setattr__(self, "graph", h)
+        object.__setattr__(self, "vertex_transitive", _is_vertex_transitive_shape(h))
+        object.__setattr__(self, "_needs", needs)
+        object.__setattr__(self, "_need_of", tuple(needs.index(p) for p in per_vertex))
+
+    def embed(self, rows, root_is_min: bool = False) -> Optional[tuple[int, ...]]:
+        """Least embedding of the pattern into the host graph with adjacency
+        bitrows `rows`, or None.
+
+        Backtracking over pattern vertices in index order, with bitmask
+        candidate domains shrunk by adjacency consistency against every
+        placed vertex. With root_is_min, only embeddings whose pattern vertex
+        0 sits on the copy's minimum host vertex are considered (sound for a
+        freeness test exactly when the pattern is vertex-transitive)."""
+        hn, gn = self.graph.n, len(rows)
+        if hn > gn:
+            return None
+        gfull = (1 << gn) - 1
+        gdeg = [row.bit_count() for row in rows]
+        need_masks = []
+        for deg, non in self._needs:
+            hi = gn - 1 - non
+            m = 0
+            for v, d in enumerate(gdeg):
+                if deg <= d <= hi:
+                    m |= 1 << v
+            if not m:
+                return None
+            need_masks.append(m)
+        base = [need_masks[i] for i in self._need_of]
+
+        hrows = self.graph.rows
+        mapping = [0] * hn
+
+        def extend(j: int, doms: list[int]) -> bool:
+            cand = doms[0]
+            while cand:
+                vbit = cand & -cand
+                cand ^= vbit
+                v = vbit.bit_length() - 1
+                mapping[j] = v
+                if j + 1 == hn:
+                    return True
+                grow = rows[v]
+                gnon = gfull ^ grow ^ vbit
+                if j == 0 and root_is_min:
+                    gnon &= ~(vbit - 1)
+                    grow &= ~(vbit - 1)
+                hrow = hrows[j]
+                nxt = []
+                ok = True
+                for k in range(j + 1, hn):
+                    d = doms[k - j] & (grow if (hrow >> k) & 1 else gnon)
+                    if not d:
+                        ok = False
+                        break
+                    nxt.append(d)
+                if ok and extend(j + 1, nxt):
+                    return True
+            return False
+
+        if extend(0, base):
+            return tuple(mapping)
+        return None
+
+
+def find_induced(g: Graph, h: Graph) -> Optional[InducedCopy]:
+    """Lexicographically least induced embedding of h into g, or None."""
+    got = Pattern(h).embed(g.rows)
+    return InducedCopy(got, g.n) if got is not None else None
+
+
+def is_pattern_free(g: Graph, h: Graph | Pattern) -> bool:
     """True iff g contains no induced copy of h.
 
-    Decision only, so for vertex-transitive patterns the search is allowed
-    to anchor pattern vertex 0 at the copy's minimum host vertex.
+    h may be a Pattern prepared once for repeated tests. Decision only, so
+    for vertex-transitive patterns the search is allowed to anchor pattern
+    vertex 0 at the copy's minimum host vertex.
     """
-    if h.n < 1:
-        raise PatternTooSmall("pattern must have at least one vertex")
-    return _search_induced(g, h, _is_vertex_transitive_shape(h)) is None
+    pattern = h if isinstance(h, Pattern) else Pattern(h)
+    return pattern.embed(g.rows, pattern.vertex_transitive) is None
 
 
 def degeneracy(g: Graph) -> int:
@@ -583,6 +604,8 @@ def g6_decode(data: bytes) -> Graph:
             min(pos + nbytes, len(data)),
         )
     rows = [0] * n
+    # column-major upper triangle, walked in step with the bit index
+    u, v = 0, 1
     bit = 0
     for i in range(nbytes):
         group = data[pos + i] - 63
@@ -592,20 +615,14 @@ def g6_decode(data: bytes) -> Graph:
                     raise MalformedG6("nonzero padding bits", pos + i)
                 continue
             if (group >> k) & 1:
-                u, v = _g6_bit_to_pair(bit)
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
             bit += 1
+            u += 1
+            if u == v:
+                u = 0
+                v += 1
     return Graph._unchecked(n, tuple(rows))
-
-
-def _g6_bit_to_pair(bit: int) -> tuple[int, int]:
-    # Column-major upper triangle: column v holds v bits (u = 0..v-1).
-    v = 1
-    while bit >= v:
-        bit -= v
-        v += 1
-    return bit, v
 
 
 def graph_to_json(g: Graph) -> str:
@@ -615,21 +632,30 @@ def graph_to_json(g: Graph) -> str:
     return json.dumps(doc)
 
 
+# Largest vertex count graph_from_json accepts. The row table is allocated
+# from the declared n before any edge is read, and a graph6 encoding of a
+# graph this size already takes 22 MB.
+MAX_JSON_VERTICES = 1 << 14
+
+
 def _is_int(x) -> bool:
     # JSON true/false arrive as bool, which Python counts as int
     return isinstance(x, int) and not isinstance(x, bool)
 
 
 def graph_from_json(text: str) -> Graph:
-    """Parse the JSON graph form. `n` must be a nonnegative integer, `edges`
-    a list of distinct integer pairs, and `labels`, when present and not
-    null, a list of exactly n strings. Violations raise ValueError."""
+    """Parse the JSON graph form. `n` must be an integer in
+    0..MAX_JSON_VERTICES, `edges` a list of distinct integer pairs, and
+    `labels`, when present and not null, a list of exactly n strings.
+    Violations raise ValueError."""
     doc = json.loads(text)
     if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
         raise ValueError("graph JSON needs 'n' and 'edges' fields")
     n = doc["n"]
     if not _is_int(n) or n < 0:
         raise ValueError("'n' must be a nonnegative integer")
+    if n > MAX_JSON_VERTICES:
+        raise ValueError(f"'n' is {n}; at most {MAX_JSON_VERTICES} vertices are accepted")
     if not isinstance(doc["edges"], list):
         raise ValueError("'edges' must be a list")
     seen = set()

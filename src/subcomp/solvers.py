@@ -19,6 +19,7 @@ from .errors import InvalidT, PatternTooSmall, RecognizerMismatch
 from .graphs import (
     Frozen,
     Graph,
+    Pattern,
     PatternSpec,
     VertexSet,
     complement,
@@ -94,18 +95,27 @@ def brute_solve(g: Graph, h: Graph, cap: int = DEFAULT_SUBSET_CAP) -> SolveRepor
     """Sweep subsets by increasing size until one complements g into an
     h-free graph. The first hit is therefore a minimum-size solution.
 
-    Stops with Unknown after examining `cap` subsets.
+    G ⊕ S induces on a vertex set W exactly G[W] ⊕ (S ∩ W), so a copy of h
+    found on W for S is still there for every S' with S' ∩ W = S ∩ W. Each
+    copy found is kept as a witness (W, S ∩ W); a subset that matches a
+    witness is rejected without a search, and every other subset gets a full
+    search of its flipped rows. A Yes therefore always comes from a search
+    that found no copy.
+
+    Stops with Unknown after examining `cap` subsets, rejected ones included.
     """
     if h.n < 1:
         raise PatternTooSmall("forbidden pattern must have at least one vertex")
     start = time.perf_counter()
     examined = 0
+    searches = 0
 
     def report(status, solution=None):
         stats = {
             "subsets_examined": examined,
             "pairs_examined": 0,
             "pairs_pruned": 0,
+            "recognizer_calls": searches,
             "elapsed": time.perf_counter() - start,
         }
         return SolveReport(status, solution, stats, solution is not None)
@@ -113,18 +123,37 @@ def brute_solve(g: Graph, h: Graph, cap: int = DEFAULT_SUBSET_CAP) -> SolveRepor
     if h.n == 1:
         # only the null graph avoids an induced single vertex
         return report(YES, VertexSet.empty(0)) if g.n == 0 else report(NO)
+    pattern = Pattern(h)
+    anchored = pattern.vertex_transitive
+    rows = g.rows
+    witnesses = []  # (W, S ∩ W), the last one to reject a subset first
     for mask in _subsets_by_cardinality(g.n):
         if examined >= cap:
             return report(UNKNOWN)
         examined += 1
-        s = VertexSet(mask, g.n)
-        if is_pattern_free(subgraph_complement(g, s), h):
-            return report(YES, s)
+        for i, (w, sw) in enumerate(witnesses):
+            if mask & w == sw:
+                if i:
+                    witnesses.insert(0, witnesses.pop(i))
+                break
+        else:
+            searches += 1
+            flipped = [
+                row ^ mask ^ (1 << v) if (mask >> v) & 1 else row
+                for v, row in enumerate(rows)
+            ]
+            copy = pattern.embed(flipped, anchored)
+            if copy is None:
+                return report(YES, VertexSet(mask, g.n))
+            w = 0
+            for v in copy:
+                w |= 1 << v
+            witnesses.insert(0, (w, mask & w))
     return report(NO)
 
 
 def kt_free_recognizer(t: int) -> Callable[[Graph], bool]:
-    kt = make_pattern(PatternSpec.complete(t))
+    kt = Pattern(make_pattern(PatternSpec.complete(t)))
     return lambda g: is_pattern_free(g, kt)
 
 
@@ -197,6 +226,7 @@ def solve_kt_free(
             "subsets_examined": examined,
             "pairs_examined": pairs,
             "pairs_pruned": pruned,
+            "recognizer_calls": examined + 1,  # step 0, then one per candidate
             "elapsed": time.perf_counter() - start,
         }
         return SolveReport(status, solution, stats, solution is not None)

@@ -356,6 +356,8 @@ class TestConvert:
             {"n": 2, "edges": [[True, False]]},
             {"n": 2, "edges": [], "labels": [0, 1]},
             {"n": 2, "edges": [], "labels": ["a", "b", "c"]},
+            # past the vertex cap; at 2^62 the row table cannot even be asked for
+            {"n": 4611686018427387904, "edges": []},
         ],
     )
     def test_hostile_json_exits_65(self, tmp_path, capsys, doc):

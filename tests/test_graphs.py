@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from subcomp.errors import CapMismatch, InvalidPattern, MalformedG6, NullGraph, PatternTooSmall
 from subcomp.gadgets import GadgetInstance
 from subcomp.graphs import (
+    MAX_JSON_VERTICES,
     Graph,
     InducedCopy,
+    Pattern,
     PatternSpec,
     VertexSet,
     all_adjacent,
@@ -281,6 +283,24 @@ class TestFindInduced:
         else:
             assert copy.mapping == min(all_embeddings)
 
+    @given(graphs(max_n=8), graphs(max_n=5).filter(lambda h: h.n >= 1))
+    @settings(max_examples=300, deadline=None)
+    def test_prepared_pattern_decides_alike(self, g, h):
+        pattern = Pattern(h)
+        assert is_pattern_free(g, pattern) == is_pattern_free(g, h)
+        assert is_pattern_free(g, h) == (brute_embeddings(g, h) == [])
+        copy = find_induced(g, h)
+        assert pattern.embed(g.rows) == (None if copy is None else copy.mapping)
+
+    def test_vertex_transitive_flag(self):
+        for spec in (PatternSpec.complete(4), PatternSpec.empty(3), PatternSpec.cycle(5),
+                     PatternSpec.complement_of(PatternSpec.cycle(6))):
+            assert Pattern(make_pattern(spec)).vertex_transitive
+        for spec in (PatternSpec.path(4), PatternSpec.star(3)):
+            assert not Pattern(make_pattern(spec)).vertex_transitive
+        with pytest.raises(PatternTooSmall):
+            Pattern(Graph(0, []))
+
 
 class TestDegeneracy:
     def test_null_graph_rejected(self):
@@ -381,6 +401,23 @@ class TestGraph6:
             g6_decode(data)
         assert err.value.offset == offset
 
+    @pytest.mark.parametrize("n,seed", [(40, 1), (126, 2), (200, 3)])
+    def test_decode_agrees_with_networkx_at_larger_n(self, n, seed):
+        ng = nx.gnp_random_graph(n, 0.3, seed=seed)
+        data = nx.to_graph6_bytes(ng, header=False).strip()
+        g = g6_decode(data)
+        assert g.n == n
+        assert set(g.edges()) == {(min(e), max(e)) for e in ng.edges}
+        assert g6_encode(g) == data
+
+    def test_padding_error_offset_is_last_byte(self):
+        # C5 has 10 adjacency bits in two bytes, so the last two bits pad
+        data = bytearray(g6_encode(make_pattern(PatternSpec.cycle(5))))
+        data[-1] += 1
+        with pytest.raises(MalformedG6) as err:
+            g6_decode(bytes(data))
+        assert err.value.offset == len(data) - 1
+
     def test_nonzero_padding_rejected(self):
         # K2's encoding is "A_"; "A" + chr(63+1) sets a padding bit
         assert g6_decode(b"A_") == make_pattern(PatternSpec.complete(2))
@@ -428,6 +465,12 @@ class TestJson:
         with pytest.raises(ValueError):
             graph_from_json(text)
 
+    def test_vertex_cap(self):
+        assert graph_from_json(f'{{"n": {MAX_JSON_VERTICES}, "edges": [[0, 1]]}}').n == MAX_JSON_VERTICES
+        for n in (MAX_JSON_VERTICES + 1, 1 << 62):
+            with pytest.raises(ValueError, match="at most"):
+                graph_from_json(f'{{"n": {n}, "edges": []}}')
+
     def test_null_labels_mean_none(self):
         assert graph_from_json('{"n": 1, "edges": [], "labels": null}').labels is None
 
@@ -438,6 +481,7 @@ _VALUE_MAKERS = {
     "VertexSet": lambda: VertexSet.from_members([0], 2),
     "PatternSpec": lambda: PatternSpec.complement_of(PatternSpec.path(4)),
     "InducedCopy": lambda: InducedCopy((1, 0), 2),
+    "Pattern": lambda: Pattern(make_pattern(PatternSpec.path(3))),
     "RamseyBound": lambda: RamseyBound(3, 3, 6, True),
     "SplitPartition": lambda: SplitPartition(1, 1, _VS, VertexSet(0b10, 2)),
     "SolveReport": lambda: SolveReport("Yes", _VS, {"elapsed": 0.0}, True),

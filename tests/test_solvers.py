@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from subcomp.errors import InvalidT, PatternTooSmall, RecognizerMismatch
 from subcomp.graphs import (
     Graph,
+    Pattern,
     PatternSpec,
     VertexSet,
     complement,
@@ -34,6 +35,13 @@ from subcomp.verify import all_graphs, random_graph
 K2 = make_pattern(PatternSpec.complete(2))
 K3 = make_pattern(PatternSpec.complete(3))
 P3 = make_pattern(PatternSpec.path(3))
+BRUTE_PATTERNS = {
+    "P3": P3,
+    "P4": make_pattern(PatternSpec.path(4)),
+    "C4": make_pattern(PatternSpec.cycle(4)),
+    "K1,3": make_pattern(PatternSpec.star(3)),
+    "co-P4": complement(make_pattern(PatternSpec.path(4))),
+}
 
 
 @st.composite
@@ -122,20 +130,58 @@ class TestBruteSolve:
             b.stats["subsets_examined"],
         )
 
-    @given(graphs(max_n=5))
-    @settings(max_examples=150, deadline=None)
-    def test_minimum_size_and_first_in_order(self, g):
-        r = brute_solve(g, P3)
+    @given(graphs(max_n=5), st.sampled_from(list(BRUTE_PATTERNS)))
+    @settings(max_examples=300, deadline=None)
+    def test_minimum_size_and_first_in_order(self, g, name):
+        # against one fresh search per subset, which brute_solve's witness
+        # reuse must reproduce exactly, subset count included
+        h = BRUTE_PATTERNS[name]
+        r = brute_solve(g, h)
+        order = list(_subsets_by_cardinality(g.n))
         winners = [
             m
-            for m in _subsets_by_cardinality(g.n)
-            if is_pattern_free(subgraph_complement(g, VertexSet(m, g.n)), P3)
+            for m in order
+            if is_pattern_free(subgraph_complement(g, VertexSet(m, g.n)), h)
         ]
         if r.status == "No":
             assert winners == []
+            assert r.stats["subsets_examined"] == 2**g.n
         else:
             assert r.solution.bits == winners[0]
             assert len(r.solution) == min(bin(m).count("1") for m in winners)
+            assert r.stats["subsets_examined"] == order.index(winners[0]) + 1
+        assert r.stats["recognizer_calls"] <= r.stats["subsets_examined"]
+
+    def test_witnesses_spare_searches(self):
+        # every subset is still counted, but only few get a full search
+        r = brute_solve(no_instance(P3), P3)
+        assert r.status == "No"
+        assert r.stats["subsets_examined"] == 512
+        assert r.stats["recognizer_calls"] <= 512 // 8
+        p4 = BRUTE_PATTERNS["P4"]
+        rng = random.Random(5)
+        no_cases = 0
+        while no_cases < 3:
+            g = random_graph(rng, 11)
+            r = brute_solve(g, p4)
+            if r.status == "No":
+                no_cases += 1
+                assert r.stats["subsets_examined"] == 2**11
+                assert r.stats["recognizer_calls"] <= 2**11 // 8
+
+    def test_recognizer_calls_counts_searches(self, monkeypatch):
+        searches = []
+        embed = Pattern.embed
+
+        def counting(self, rows, root_is_min=False):
+            searches.append(rows)
+            return embed(self, rows, root_is_min)
+
+        monkeypatch.setattr(Pattern, "embed", counting)
+        for g, h in ((make_pattern(PatternSpec.complete(4)), K3), (no_instance(P3), P3)):
+            searches.clear()
+            assert brute_solve(g, h).stats["recognizer_calls"] == len(searches) > 0
+        assert brute_solve(Graph(2, [0, 0]), Graph(1, [0])).stats["recognizer_calls"] == 0
 
 
 class TestSolveKtFree:
@@ -186,6 +232,21 @@ class TestSolveKtFree:
         r = solve_kt_free(g, 3, cap=3)
         assert r.status == "Unknown"
         assert r.stats["subsets_examined"] == 3
+
+    def test_recognizer_calls_include_step_zero(self):
+        calls = []
+        base = kt_free_recognizer(3)
+
+        def counting(gg):
+            calls.append(gg)
+            return base(gg)
+
+        c5 = make_pattern(PatternSpec.cycle(5))
+        assert solve_kt_free(c5, 3, recognizer=counting).stats["recognizer_calls"] == 1
+        for g in (make_pattern(PatternSpec.complete(4)), complement(no_instance(K3))):
+            calls.clear()
+            r = solve_kt_free(g, 3, recognizer=counting)
+            assert r.stats["recognizer_calls"] == len(calls) == r.stats["subsets_examined"] + 1
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_each_candidate_once_on_g16(self, seed):

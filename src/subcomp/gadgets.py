@@ -18,7 +18,8 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import InvalidT, KindMismatch, NotSatisfying, WrongWidth
-from .graphs import Frozen, Graph, PatternSpec, VertexSet, complement, make_pattern
+from .graphs import Graph, PatternSpec, VertexSet, complement, make_pattern
+from .values import Frozen
 from .sat import Assignment, CnfFormula, check_threshold
 
 STAR_INDUCTIVE = "StarInductive"

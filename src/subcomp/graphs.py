@@ -19,31 +19,8 @@ from .errors import (
     NullGraph,
     PatternTooSmall,
 )
-
-
-class Frozen:
-    """Base of the package's immutable value types.
-
-    Subclasses declare __slots__ and fill them once with object.__setattr__;
-    any later assignment raises. Equality and hashing compare _key(), which
-    defaults to every slot in declaration order.
-    """
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+from .matcher import Pattern
+from .values import Frozen
 
 
 def _checked_labels(labels, n: int):
@@ -354,116 +331,6 @@ class InducedCopy(Frozen):
         return f"InducedCopy({self.mapping})"
 
 
-def _is_vertex_transitive_shape(h: Graph) -> bool:
-    """Cheap sufficient test for vertex transitivity: complete, empty, a
-    single cycle, or the complement of one. Enough for the patterns where
-    the root-is-minimum search restriction pays off."""
-    if h.n == 0:
-        return False
-    degs = {row.bit_count() for row in h.rows}
-    if degs == {h.n - 1} or degs == {0}:
-        return True
-    for cand in (h, complement(h)):
-        if h.n >= 3 and {row.bit_count() for row in cand.rows} == {2}:
-            # all degree 2 and connected means one cycle
-            seen = 1
-            frontier = cand.rows[0] & ~seen
-            while frontier:
-                seen |= frontier
-                nxt = 0
-                m = frontier
-                while m:
-                    vbit = m & -m
-                    m ^= vbit
-                    nxt |= cand.rows[vbit.bit_length() - 1]
-                frontier = nxt & ~seen
-            if seen == (1 << h.n) - 1:
-                return True
-    return False
-
-
-class Pattern(Frozen):
-    """A pattern graph prepared once for any number of induced searches.
-
-    It holds what a search needs from the pattern alone: the distinct
-    (degree, non-degree) pairs a host vertex must reach to play a pattern
-    vertex, and whether the pattern is vertex-transitive, which lets a
-    freeness test anchor pattern vertex 0 at the copy's minimum host vertex.
-    """
-
-    __slots__ = ("graph", "vertex_transitive", "_needs", "_need_of")
-
-    def __init__(self, h: Graph):
-        if h.n < 1:
-            raise PatternTooSmall("pattern must have at least one vertex")
-        per_vertex = [(row.bit_count(), h.n - 1 - row.bit_count()) for row in h.rows]
-        needs = tuple(dict.fromkeys(per_vertex))
-        object.__setattr__(self, "graph", h)
-        object.__setattr__(self, "vertex_transitive", _is_vertex_transitive_shape(h))
-        object.__setattr__(self, "_needs", needs)
-        object.__setattr__(self, "_need_of", tuple(needs.index(p) for p in per_vertex))
-
-    def embed(self, rows, root_is_min: bool = False) -> Optional[tuple[int, ...]]:
-        """Least embedding of the pattern into the host graph with adjacency
-        bitrows `rows`, or None.
-
-        Backtracking over pattern vertices in index order, with bitmask
-        candidate domains shrunk by adjacency consistency against every
-        placed vertex. With root_is_min, only embeddings whose pattern vertex
-        0 sits on the copy's minimum host vertex are considered (sound for a
-        freeness test exactly when the pattern is vertex-transitive)."""
-        hn, gn = self.graph.n, len(rows)
-        if hn > gn:
-            return None
-        gfull = (1 << gn) - 1
-        gdeg = [row.bit_count() for row in rows]
-        need_masks = []
-        for deg, non in self._needs:
-            hi = gn - 1 - non
-            m = 0
-            for v, d in enumerate(gdeg):
-                if deg <= d <= hi:
-                    m |= 1 << v
-            if not m:
-                return None
-            need_masks.append(m)
-        base = [need_masks[i] for i in self._need_of]
-
-        hrows = self.graph.rows
-        mapping = [0] * hn
-
-        def extend(j: int, doms: list[int]) -> bool:
-            cand = doms[0]
-            while cand:
-                vbit = cand & -cand
-                cand ^= vbit
-                v = vbit.bit_length() - 1
-                mapping[j] = v
-                if j + 1 == hn:
-                    return True
-                grow = rows[v]
-                gnon = gfull ^ grow ^ vbit
-                if j == 0 and root_is_min:
-                    gnon &= ~(vbit - 1)
-                    grow &= ~(vbit - 1)
-                hrow = hrows[j]
-                nxt = []
-                ok = True
-                for k in range(j + 1, hn):
-                    d = doms[k - j] & (grow if (hrow >> k) & 1 else gnon)
-                    if not d:
-                        ok = False
-                        break
-                    nxt.append(d)
-                if ok and extend(j + 1, nxt):
-                    return True
-            return False
-
-        if extend(0, base):
-            return tuple(mapping)
-        return None
-
-
 def find_induced(g: Graph, h: Graph) -> Optional[InducedCopy]:
     """Lexicographically least induced embedding of h into g, or None."""
     got = Pattern(h).embed(g.rows)
@@ -474,11 +341,10 @@ def is_pattern_free(g: Graph, h: Graph | Pattern) -> bool:
     """True iff g contains no induced copy of h.
 
     h may be a Pattern prepared once for repeated tests. Decision only, so
-    for vertex-transitive patterns the search is allowed to anchor pattern
-    vertex 0 at the copy's minimum host vertex.
+    the search reaches each induced copy through one embedding.
     """
     pattern = h if isinstance(h, Pattern) else Pattern(h)
-    return pattern.embed(g.rows, pattern.vertex_transitive) is None
+    return pattern.embed(g.rows, True) is None
 
 
 def degeneracy(g: Graph) -> int:

@@ -19,7 +19,7 @@ from .errors import (
     TooManyVariables,
     WidthTooSmall,
 )
-from .graphs import Frozen
+from .values import Frozen
 
 BRUTE_SAT_VARIABLE_LIMIT = 24
 

@@ -17,9 +17,7 @@ from typing import Callable, Optional
 
 from .errors import InvalidT, PatternTooSmall, RecognizerMismatch
 from .graphs import (
-    Frozen,
     Graph,
-    Pattern,
     PatternSpec,
     VertexSet,
     complement,
@@ -28,7 +26,9 @@ from .graphs import (
     make_pattern,
     subgraph_complement,
 )
+from .matcher import Pattern
 from .split import enumerate_split_partitions, find_split_partition
+from .values import Frozen
 
 DEFAULT_SUBSET_CAP = 1 << 26
 
@@ -91,7 +91,7 @@ def _subsets_by_cardinality(n: int):
             m = (((r ^ m) >> 2) // c) | r
 
 
-def brute_solve(g: Graph, h: Graph, cap: int = DEFAULT_SUBSET_CAP) -> SolveReport:
+def brute_solve(g: Graph, h: Graph | Pattern, cap: int = DEFAULT_SUBSET_CAP) -> SolveReport:
     """Sweep subsets by increasing size until one complements g into an
     h-free graph. The first hit is therefore a minimum-size solution.
 
@@ -102,11 +102,16 @@ def brute_solve(g: Graph, h: Graph, cap: int = DEFAULT_SUBSET_CAP) -> SolveRepor
     search of its flipped rows. A Yes therefore always comes from a search
     that found no copy.
 
-    Stops with Unknown after examining `cap` subsets, rejected ones included.
+    h may be a Pattern prepared once for repeated solves. Stops with Unknown
+    after examining `cap` subsets, rejected ones included.
     """
-    if h.n < 1:
-        raise PatternTooSmall("forbidden pattern must have at least one vertex")
     start = time.perf_counter()
+    if isinstance(h, Pattern):
+        pattern = h
+    elif h.n < 1:
+        raise PatternTooSmall("forbidden pattern must have at least one vertex")
+    else:
+        pattern = Pattern(h)
     examined = 0
     searches = 0
 
@@ -120,11 +125,9 @@ def brute_solve(g: Graph, h: Graph, cap: int = DEFAULT_SUBSET_CAP) -> SolveRepor
         }
         return SolveReport(status, solution, stats, solution is not None)
 
-    if h.n == 1:
+    if pattern.graph.n == 1:
         # only the null graph avoids an induced single vertex
         return report(YES, VertexSet.empty(0)) if g.n == 0 else report(NO)
-    pattern = Pattern(h)
-    anchored = pattern.vertex_transitive
     rows = g.rows
     witnesses = []  # (W, S ∩ W), the last one to reject a subset first
     for mask in _subsets_by_cardinality(g.n):
@@ -142,7 +145,7 @@ def brute_solve(g: Graph, h: Graph, cap: int = DEFAULT_SUBSET_CAP) -> SolveRepor
                 row ^ mask ^ (1 << v) if (mask >> v) & 1 else row
                 for v, row in enumerate(rows)
             ]
-            copy = pattern.embed(flipped, anchored)
+            copy = pattern.embed(flipped, True)
             if copy is None:
                 return report(YES, VertexSet(mask, g.n))
             w = 0

@@ -14,7 +14,8 @@ from math import comb
 from typing import Optional
 
 from .errors import InvalidArgs, InvalidSeed
-from .graphs import Frozen, Graph, VertexSet, complement
+from .graphs import Graph, VertexSet, complement
+from .values import Frozen
 
 
 class RamseyBound(Frozen):

@@ -35,6 +35,7 @@ from .graphs import (
     make_pattern,
     subgraph_complement,
 )
+from .matcher import Pattern
 from .sat import CnfFormula, brute_sat
 from .solvers import brute_solve, solve_kt_free
 from .split import enumerate_split_partitions, find_split_partition, ramsey_bound
@@ -98,8 +99,8 @@ def run_gs(max_n: int = 5, seed: int = 0) -> dict:
 def run_dual(max_n: int = 4, seed: int = 0) -> dict:
     """Solving g against complement-of-P_3-free must mirror solving the
     complement graph against P_3-free, certificate included."""
-    p3 = make_pattern(PatternSpec.path(3))
-    p3bar = complement(p3)
+    p3 = Pattern(make_pattern(PatternSpec.path(3)))
+    p3bar = Pattern(complement(p3.graph))
     cases = 0
     failures = []
     for n in range(max_n + 1):
@@ -120,7 +121,7 @@ def run_dual(max_n: int = 4, seed: int = 0) -> dict:
 def run_kt_oracle(max_n: int = 5, seed: int = 0) -> dict:
     """Structured solver versus brute force at K_3. Exhaustive through
     n = 5; beyond that 200 seeded random graphs per order."""
-    kt = make_pattern(PatternSpec.complete(3))
+    kt = Pattern(make_pattern(PatternSpec.complete(3)))
     rng = random.Random(seed)
     cases = 0
     failures = []
@@ -235,7 +236,7 @@ def run_gadget(max_n: int = 6, seed: int = 0) -> dict:
     failures = []
     ran = 0
     for name, (build, pattern_spec) in _GADGETS.items():
-        pattern = make_pattern(pattern_spec)
+        pattern = Pattern(make_pattern(pattern_spec))
         for _ in range(3):
             ran += 1
             phi = random_satisfiable_formula(rng, max_n=max_n, max_m=1)
@@ -254,11 +255,16 @@ def run_inductive(max_n: int = 2, seed: int = 0) -> dict:
     """Double-brute equivalence of the three inductive constructions on
     every source graph up to max_n vertices (cycle capped at two to keep the
     lifted instances within exhaustive reach)."""
-    p3 = make_pattern(PatternSpec.path(3))
-    k13 = make_pattern(PatternSpec.star(3))
-    p4 = make_pattern(PatternSpec.path(4))
-    p5 = make_pattern(PatternSpec.path(5))
-    c6 = make_pattern(PatternSpec.cycle(6))
+    p3, k13, p4, p5, c6 = (
+        Pattern(make_pattern(spec))
+        for spec in (
+            PatternSpec.path(3),
+            PatternSpec.star(3),
+            PatternSpec.path(4),
+            PatternSpec.path(5),
+            PatternSpec.cycle(6),
+        )
+    )
     jobs = [
         ("star", star_inductive, 2, p3, k13, max_n),
         ("path", path_inductive, 3, p3, p5, max_n),

@@ -127,6 +127,18 @@ class TestSolve:
         assert report["status"] == "Unknown"
         assert report["stats"]["subsets_examined"] == 1
 
+    def test_long_pattern_ends_in_exit_code(self, tmp_path, capsys):
+        # the search for P1200 goes 1200 levels deep; the empty subset
+        # already holds a copy, and that one subset is the whole budget
+        code = main([
+            "solve", "--target", "pattern", "--pattern", "P1200", "--budget", "1",
+            write_g6(tmp_path, g6_encode(make_pattern(PatternSpec.path(1500)))),
+        ])
+        report = last_json(capsys)
+        assert code == 2
+        assert report["status"] == "Unknown"
+        assert report["stats"]["recognizer_calls"] == 1
+
     def test_degenerate_recognizer_stays_sound(self, tmp_path, capsys):
         # C_5 has degeneracy 2 <= t-2 for t=4, so the subclass recognizer
         # accepts immediately; the answer must still be a real one.

@@ -1,6 +1,7 @@
 """Core graph operations: construction, complements, embeddings, encodings."""
 
 import itertools
+import random
 
 import networkx as nx
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from subcomp.errors import CapMismatch, InvalidPattern, MalformedG6, NullGraph, PatternTooSmall
 from subcomp.gadgets import GadgetInstance
+from subcomp import matcher
 from subcomp.graphs import (
     MAX_JSON_VERTICES,
     Graph,
@@ -37,6 +39,7 @@ from subcomp.graphs import (
 from subcomp.sat import Assignment, CnfFormula
 from subcomp.solvers import SolveReport
 from subcomp.split import RamseyBound, SplitPartition
+from subcomp.verify import all_graphs, random_graph
 
 
 @st.composite
@@ -300,6 +303,91 @@ class TestFindInduced:
             assert not Pattern(make_pattern(spec)).vertex_transitive
         with pytest.raises(PatternTooSmall):
             Pattern(Graph(0, []))
+
+
+def satisfies_constraints(pattern, mapping):
+    """Does the mapping put every pattern vertex i below each w in its orbit
+    constraint mask?"""
+    return all(
+        mapping[i] < mapping[w]
+        for i, mask in enumerate(pattern._constraints())
+        for w in range(pattern.graph.n)
+        if (mask >> w) & 1
+    )
+
+
+_NAMED_SHAPES = [
+    PatternSpec.star(5),
+    PatternSpec.path(7),
+    PatternSpec.cycle(8),
+    PatternSpec.complement_of(PatternSpec.cycle(6)),
+    PatternSpec.complete(4),
+]
+
+
+class TestOrbitConstraints:
+    """Pattern._later against the automorphisms, independent of the search."""
+
+    def test_one_automorphism_satisfies_them(self):
+        shapes = [g for n in range(1, 6) for g in all_graphs(n)]
+        shapes += [make_pattern(spec) for spec in _NAMED_SHAPES]
+        for h in shapes:
+            pattern = Pattern(h)
+            automorphisms = brute_embeddings(h, h)
+            assert sum(satisfies_constraints(pattern, m) for m in automorphisms) == 1, h.rows
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_embedding_per_copy(self, seed):
+        rng = random.Random(seed)
+        shapes = [make_pattern(spec) for spec in _NAMED_SHAPES]
+        shapes += [random_graph(rng, rng.randint(1, 5)) for _ in range(8)]
+        for h in shapes:
+            pattern = Pattern(h)
+            order = len(brute_embeddings(h, h))
+            for _ in range(6):
+                g = random_graph(rng, rng.randint(h.n, 8))
+                every = brute_embeddings(g, h)
+                kept = [m for m in every if satisfies_constraints(pattern, m)]
+                assert len(kept) * order == len(every)
+                # the decision search returns the least embedding it keeps
+                assert pattern.embed(g.rows, True) == (min(kept) if kept else None)
+
+    @pytest.mark.parametrize("work", [1, 12, 30, 64, 150])
+    def test_capped_constraints_stay_sound(self, monkeypatch, work):
+        # a search the cap stops keeps a subset of the full constraints,
+        # which still admits at least one embedding per copy
+        full = {}
+        shapes = [g for n in range(2, 6) for g in all_graphs(n)]
+        shapes += [make_pattern(spec) for spec in _NAMED_SHAPES]
+        for h in shapes:
+            full[h] = Pattern(h)._constraints()
+        monkeypatch.setattr(matcher, "_ORBIT_WORK", work)
+        for h in shapes:
+            later = Pattern(h)._constraints()
+            assert all(a & ~b == 0 for a, b in zip(later, full[h]))
+        rng = random.Random(work)
+        for h in shapes[::7]:
+            pattern = Pattern(h)
+            g = random_graph(rng, rng.randint(h.n, max(h.n, 7)))
+            copies = {}
+            for m in brute_embeddings(g, h):
+                copies.setdefault(frozenset(m), []).append(m)
+            for embeddings in copies.values():
+                assert any(satisfies_constraints(pattern, m) for m in embeddings)
+
+    def test_large_patterns_stay_cheap(self):
+        # too long for a self-search within the work cap: no constraints,
+        # and a decision 1200 levels deep on an explicit stack
+        p1200 = Pattern(make_pattern(PatternSpec.path(1200)))
+        assert not any(p1200._constraints())
+        assert not is_pattern_free(make_pattern(PatternSpec.path(1500)), p1200)
+        assert is_pattern_free(make_pattern(PatternSpec.path(1199)), p1200)
+        # twins alone settle cliques and stars of any order
+        k300 = Pattern(make_pattern(PatternSpec.complete(300)))
+        assert k300.vertex_transitive
+        assert k300._constraints()[1] == (1 << 300) - 4
+        star = Pattern(make_pattern(PatternSpec.star(400)))
+        assert star._constraints()[:2] == (0, (1 << 401) - 4)
 
 
 class TestDegeneracy:

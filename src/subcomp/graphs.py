@@ -19,7 +19,7 @@ from .errors import (
     NullGraph,
     PatternTooSmall,
 )
-from .matcher import Pattern
+from .matcher import Pattern, modules_avoiding
 from .values import Frozen
 
 
@@ -342,9 +342,30 @@ def is_pattern_free(g: Graph, h: Graph | Pattern) -> bool:
 
     h may be a Pattern prepared once for repeated tests. Decision only, so
     the search reaches each induced copy through one embedding.
+
+    A prime pattern is decided on modular quotients, on an explicit stack.
+    A copy meets each module of its host in at most one vertex or lies
+    inside it; so with v the lowest vertex of a part of the host, the part
+    holds a copy iff one of its maximal modules avoiding v does, or the
+    quotient does: v plus the lowest vertex of each such module.
     """
     pattern = h if isinstance(h, Pattern) else Pattern(h)
-    return pattern.embed(g.rows, True) is None
+    rows = g.rows
+    if not pattern.prime:
+        return pattern.embed(rows, True) is None
+    hn = pattern.graph.n
+    stack = [(1 << g.n) - 1] if g.n >= hn else []
+    while stack:
+        part = stack.pop()
+        v = (part & -part).bit_length() - 1
+        quotient = 1 << v
+        for module in modules_avoiding(rows, part, v):
+            quotient |= module & -module
+            if module.bit_count() >= hn:
+                stack.append(module)
+        if pattern.embed(rows, True, quotient) is not None:
+            return False
+    return True
 
 
 def degeneracy(g: Graph) -> int:

@@ -1,13 +1,17 @@
 """Induced-subgraph search for one pattern graph, prepared once.
 
 A Pattern holds what the search needs from the pattern alone: the degree
-filters a host vertex must pass to play each pattern vertex, and
-symmetry-breaking constraints from the pattern's automorphisms. The search
-is a depth-first walk over bitmask domains on an explicit stack.
+filters a host vertex must pass to play each pattern vertex,
+symmetry-breaking constraints from the pattern's automorphisms, and whether
+the pattern is prime. The search is a depth-first walk over bitmask domains
+on an explicit stack. `modules_avoiding` splits a host into modules, which a
+decision for a prime pattern can skip.
 """
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import itemgetter
 from typing import TYPE_CHECKING, Optional
 
 from .errors import PatternTooSmall
@@ -87,7 +91,135 @@ def _search(steps, later, rows, doms, budget=-1):
             stack[j] = nxt[1:]
 
 
-def _orbit_constraints(rows, need_of) -> tuple[int, ...]:
+def _members(mask: int) -> list[int]:
+    out = []
+    while mask:
+        xbit = mask & -mask
+        mask ^= xbit
+        out.append(xbit.bit_length() - 1)
+    return out
+
+
+def _twin_classes(rows) -> list[int]:
+    """twins[v]: the mask of v and every w with N(v) - w == N(w) - v.
+
+    False twins have equal rows and true twins equal closed rows, so each
+    class is a run of equal keys in sorted order. Sorting compares the rows
+    themselves; a dict would hash them, and ints that differ only in bits a
+    multiple of 61 apart share a hash."""
+    twins = [1 << v for v in range(len(rows))]
+    for closed in (0, 1):
+        keyed = sorted((row | closed << v, v) for v, row in enumerate(rows))
+        for _, run in groupby(keyed, key=itemgetter(0)):
+            run = [v for _, v in run]
+            if len(run) > 1:
+                mask = sum(1 << v for v in run)
+                for v in run:
+                    twins[v] |= mask
+    return twins
+
+
+def modules_avoiding(rows, part: int, v: int) -> list[int]:
+    """The maximal modules of the host's induced subgraph on `part` that
+    avoid v, a member of part: a partition of part - v, as masks.
+
+    A module is a vertex set that every vertex outside it sees all of or
+    none of. This is the partition step of Ehrenfeucht, Gabow, McConnell and
+    Sullivan (J. Algorithms 1994), driven by split events: v splits part - v
+    into its neighbours and the rest, and whenever a part splits, the
+    vertices of each piece refine the parts inside the others. A task with
+    r refiners and a region of b vertices goes vertex by vertex when
+    2^r <= 2b: r refiners cut the region into at most 2^r parts, and each
+    refiner visits the parts it meets. Otherwise it groups each part of the
+    region on its rows cut to the refiners, in b row operations and a
+    sort."""
+    near = rows[v] & part
+    parts = [m for m in (near, part ^ near ^ 1 << v) if m]
+    if len(parts) < 2:
+        return parts
+    owner = [0] * len(rows)
+    for x in _members(parts[1]):
+        owner[x] = 1
+    todo = [(parts[0], parts[1]), (parts[1], parts[0])]
+
+    def split(i, pieces):
+        """Part i becomes its largest piece; the rest get new indices."""
+        whole = parts[i]
+        pieces.sort(key=int.bit_count)
+        parts[i] = pieces.pop()
+        for piece in pieces:
+            for x in _members(piece):
+                owner[x] = len(parts)
+            parts.append(piece)
+        for piece in pieces + [parts[i]]:
+            todo.append((whole ^ piece, piece))
+
+    while todo:
+        refiners, region = todo.pop()
+        if not region & (region - 1):
+            continue
+        if refiners.bit_count() <= region.bit_count().bit_length():
+            for y in _members(refiners):
+                seen = rows[y] & region
+                if not seen or seen == region:
+                    continue
+                while seen:
+                    i = owner[(seen & -seen).bit_length() - 1]
+                    p = parts[i]
+                    seen &= ~p
+                    inside = p & rows[y]
+                    if inside != p:
+                        split(i, [inside, p ^ inside])
+        else:
+            rest = region
+            while rest:
+                i = owner[(rest & -rest).bit_length() - 1]
+                p = parts[i]
+                rest ^= p
+                if not p & (p - 1):
+                    continue
+                keyed = sorted((rows[x] & refiners, x) for x in _members(p))
+                if keyed[0][0] != keyed[-1][0]:
+                    split(i, [sum(1 << x for _, x in run)
+                              for _, run in groupby(keyed, key=itemgetter(0))])
+    return parts
+
+
+def _is_prime(rows, twins) -> bool:
+    """At least three vertices and no module but the singletons and the
+    whole graph.
+
+    Twins form a module of two. Otherwise a module that avoids vertex 0
+    shows as a part of modules_avoiding(.., 0) with two or more vertices. A
+    module M that holds 0 must hold every vertex z that tells some s in M
+    from 0 (z adjacent to exactly one of them), so M - 0 is closed under the
+    arcs s -> z of that relation; a proper closed set exists just when the
+    relation is not strongly connected on the other vertices."""
+    n = len(rows)
+    if n < 3 or any(t & (t - 1) for t in twins):
+        return False
+    full = (1 << n) - 1
+    if any(m & (m - 1) for m in modules_avoiding(rows, full, 0)):
+        return False
+    tells = [(row ^ rows[0]) & ~(1 | 1 << s) for s, row in enumerate(rows)]
+    told = [(row ^ (full if rows[0] >> z & 1 else 0)) & ~(1 | 1 << z)
+            for z, row in enumerate(rows)]
+    return all(_reach(arcs, 2) == full ^ 1 for arcs in (tells, told))
+
+
+def _reach(arcs, start: int) -> int:
+    """The mask of vertices reachable from the mask start along arcs."""
+    seen = todo = start
+    while todo:
+        xbit = todo & -todo
+        todo ^= xbit
+        new = arcs[xbit.bit_length() - 1] & ~seen
+        seen |= new
+        todo |= new
+    return seen
+
+
+def _orbit_constraints(rows, need_of, twins) -> tuple[int, ...]:
     """Symmetry-breaking constraints (Grochow and Kellis, RECOMB 2007) for
     the pattern with adjacency bitrows `rows`, along the pointwise
     stabiliser chain in search order: later[i] is the mask of the vertices
@@ -101,11 +233,6 @@ def _orbit_constraints(rows, need_of) -> tuple[int, ...]:
     subset of it."""
     n = len(rows)
     full = (1 << n) - 1
-    groups: dict[int, int] = {}
-    for v, row in enumerate(rows):
-        for key in (row, row | 1 << v):
-            groups[key] = groups.get(key, 0) | 1 << v
-    twins = [groups[row] | groups[row | 1 << v] for v, row in enumerate(rows)]
     classes: dict[int, int] = {}
     for v, c in enumerate(need_of):
         classes[c] = classes.get(c, 0) | 1 << v
@@ -163,11 +290,12 @@ class Pattern(Frozen):
     under which a freeness test reaches each induced copy through one
     embedding. The constraints and the search's selector table take
     O(h^2) bits, so the first search that needs them builds them; a pattern
-    larger than every host it meets never pays for them. Equality compares
-    the graph alone; the rest derives from it.
+    larger than every host it meets never pays for them. The twin classes
+    and the prime flag are also built on first use. Equality compares the
+    graph alone; the rest derives from it.
     """
 
-    __slots__ = ("graph", "_needs", "_need_of", "_later", "_steps")
+    __slots__ = ("graph", "_needs", "_need_of", "_later", "_steps", "_twins", "_prime")
 
     def __init__(self, h: Graph):
         if h.n < 1:
@@ -177,18 +305,33 @@ class Pattern(Frozen):
         object.__setattr__(self, "graph", h)
         object.__setattr__(self, "_needs", needs)
         object.__setattr__(self, "_need_of", tuple(needs.index(p) for p in per_vertex))
-        object.__setattr__(self, "_later", None)
-        object.__setattr__(self, "_steps", None)
+        for name in ("_later", "_steps", "_twins", "_prime"):
+            object.__setattr__(self, name, None)
 
     def _key(self) -> tuple:
         return (self.graph,)
 
+    def _twin_masks(self) -> list[int]:
+        if self._twins is None:
+            object.__setattr__(self, "_twins", _twin_classes(self.graph.rows))
+        return self._twins
+
     def _constraints(self) -> tuple[int, ...]:
         if self._later is None:
-            later = _orbit_constraints(self.graph.rows, self._need_of)
+            rows = self.graph.rows
+            later = _orbit_constraints(rows, self._need_of, self._twin_masks())
             object.__setattr__(self, "_later", later)
-            object.__setattr__(self, "_steps", _selectors(self.graph.rows, later))
+            object.__setattr__(self, "_steps", _selectors(rows, later))
         return self._later
+
+    @property
+    def prime(self) -> bool:
+        """At least three vertices, and no module other than the singletons
+        and the whole pattern. An induced copy of a prime pattern meets each
+        module of its host in at most one vertex, or lies inside it."""
+        if self._prime is None:
+            object.__setattr__(self, "_prime", _is_prime(self.graph.rows, self._twin_masks()))
+        return self._prime
 
     @property
     def vertex_transitive(self) -> bool:
@@ -196,18 +339,26 @@ class Pattern(Frozen):
         miss it on a large pattern)."""
         return self._constraints()[0] == (1 << self.graph.n) - 2
 
-    def embed(self, rows, once: bool = False) -> Optional[tuple[int, ...]]:
+    def embed(
+        self, rows, once: bool = False, within: Optional[int] = None
+    ) -> Optional[tuple[int, ...]]:
         """An induced embedding of the pattern into the host graph with
-        adjacency bitrows `rows`, or None.
+        adjacency bitrows `rows`, or None; with within, into the host's
+        induced subgraph on that mask.
 
         By default the lexicographically least one. With once, only
         embeddings that satisfy the orbit constraints count: one per induced
         copy (at least one where the work cap cut the constraints short),
         which is all a decision or a witness needs."""
-        hn, gn = self.graph.n, len(rows)
-        if hn > gn:
+        gn = len(rows) if within is None else within.bit_count()
+        if self.graph.n > gn:
             return None
-        gdeg = [row.bit_count() for row in rows]
+        if within is None:
+            gdeg = [row.bit_count() for row in rows]
+        else:
+            # degree -1 keeps a vertex outside the mask out of every domain
+            gdeg = [(row & within).bit_count() if (within >> v) & 1 else -1
+                    for v, row in enumerate(rows)]
         need_masks = []
         for deg, non in self._needs:
             hi = gn - 1 - non

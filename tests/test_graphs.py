@@ -390,6 +390,137 @@ class TestOrbitConstraints:
         assert star._constraints()[:2] == (0, (1 << 401) - 4)
 
 
+def brute_prime(h):
+    """No module but the trivial ones, on at least three vertices, by trying
+    every vertex set."""
+    return h.n >= 3 and not any(
+        is_module(h, VertexSet.from_members(members, h.n))
+        for k in range(2, h.n)
+        for members in itertools.combinations(range(h.n), k)
+    )
+
+
+def brute_maximal_modules(g, part, v):
+    """The inclusion-maximal modules of g[part] that avoid v, by trying
+    every vertex set."""
+    inside = [x for x in range(g.n) if (part >> x) & 1 and x != v]
+    modules = []
+    for k in range(1, len(inside) + 1):
+        for members in itertools.combinations(inside, k):
+            mask = sum(1 << x for x in members)
+            if all(len({g.has_edge(z, x) for x in members}) == 1
+                   for z in range(g.n) if (part >> z) & 1 and not (mask >> z) & 1):
+                modules.append(mask)
+    return sorted(m for m in modules if not any(m != o and m & o == m for o in modules))
+
+
+def substituted(rng, h, depth):
+    """A random graph made by substituting graphs for the vertices of a
+    skeleton graph, vertex order shuffled: it is full of modules. The
+    skeleton or a block is sometimes h itself, so copies of h span several
+    modules or lie inside one."""
+
+    def pick(largest):
+        return h if rng.random() < 0.15 else random_graph(rng, rng.randint(1, largest))
+
+    skeleton = pick(5)
+    blocks = [substituted(rng, h, depth - 1) if depth and rng.random() < 0.4 else pick(3)
+              for _ in range(skeleton.n)]
+    offsets = list(itertools.accumulate([0] + [b.n for b in blocks]))
+    spans = [((1 << b.n) - 1) << off for b, off in zip(blocks, offsets)]
+    rows = []
+    for i, (block, off) in enumerate(zip(blocks, offsets)):
+        outside = sum(spans[j] for j in range(skeleton.n) if skeleton.has_edge(i, j))
+        rows += [(row << off) | outside for row in block.rows]
+    order = list(range(len(rows)))
+    rng.shuffle(order)
+    shuffled = [0] * len(rows)
+    for u, row in enumerate(rows):
+        shuffled[order[u]] = sum(1 << order[w] for w in range(len(rows)) if (row >> w) & 1)
+    return Graph(len(rows), shuffled)
+
+
+_PRIME_SHAPES = [
+    PatternSpec.path(4),
+    PatternSpec.path(5),
+    PatternSpec.cycle(5),
+    PatternSpec.complement_of(PatternSpec.path(5)),
+    PatternSpec.cycle(8),
+    PatternSpec.complement_of(PatternSpec.cycle(6)),
+]
+_PRIME_IDS = ["P4", "P5", "C5", "co-P5", "C8", "co-C6"]
+
+
+class TestModularQuotient:
+    """Twin classes, primality, module partitions and the quotient decision
+    against brute force and the plain search."""
+
+    def test_twin_classes_match_definition(self):
+        for n in range(1, 7):
+            for h in all_graphs(n):
+                rows = h.rows
+                assert matcher._twin_classes(rows) == [
+                    sum(1 << w for w in range(n) if rows[u] & ~(1 << w) == rows[w] & ~(1 << u))
+                    for u in range(n)
+                ], rows
+
+    def test_prime_matches_module_check(self):
+        for n in range(1, 7):
+            for h in all_graphs(n):
+                assert Pattern(h).prime == brute_prime(h), h.rows
+        for spec in _PRIME_SHAPES:
+            assert Pattern(make_pattern(spec)).prime
+        for spec in (PatternSpec.complete(5), PatternSpec.empty(4), PatternSpec.star(5),
+                     PatternSpec.cycle(4), PatternSpec.path(3)):
+            assert not Pattern(make_pattern(spec)).prime
+
+    def test_modules_avoiding_are_the_maximal_modules(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(2, 8)) if rng.random() < 0.5 else substituted(
+                rng, make_pattern(PatternSpec.path(4)), 0)
+            if g.n > 9:
+                continue
+            part = rng.randint(1, (1 << g.n) - 1)
+            v = rng.choice([x for x in range(g.n) if (part >> x) & 1])
+            got = matcher.modules_avoiding(g.rows, part, v)
+            assert sorted(got) == brute_maximal_modules(g, part, v), (g.rows, part, v)
+
+    @pytest.mark.parametrize("spec", _PRIME_SHAPES, ids=_PRIME_IDS)
+    def test_decides_like_plain_search_on_substituted_hosts(self, spec):
+        pattern = Pattern(make_pattern(spec))
+        rng = random.Random(repr(spec))
+        answers = set()
+        for _ in range(180):
+            g = substituted(rng, pattern.graph, 1)
+            free = is_pattern_free(g, pattern)
+            assert free == (pattern.embed(g.rows, True) is None), g.rows
+            answers.add(free)
+        assert answers == {True, False}
+
+    @pytest.mark.parametrize("spec", [PatternSpec.cycle(8), PatternSpec.path(5)], ids=["C8", "P5"])
+    def test_copy_inside_a_module(self, spec):
+        # vertex 0 sees every other vertex and vertex 1 none of the rest, so
+        # the modules nest; the only copy lies inside them, two levels down
+        h = make_pattern(spec)
+        rest = disjoint_union(Graph(1, [0]), h)
+        universal = (1 << rest.n) - 1
+        host = Graph(rest.n + 1, [universal << 1] + [(row << 1) | 1 for row in rest.rows])
+        assert not is_pattern_free(host, h)
+
+    def test_nested_modules_need_no_recursion(self):
+        # threshold graph: vertex i sees all later vertices when i is odd and
+        # none when even, so the modules nest 3,000 deep; it is P4-free
+        n = 3000
+        odd = sum(1 << i for i in range(1, n, 2))
+        rows = [odd & ((1 << v) - 1) for v in range(n)]
+        for v in range(1, n, 2):
+            rows[v] |= ((1 << n) - 1) ^ ((2 << v) - 1)
+        g = Graph._unchecked(n, tuple(rows))  # symmetric by construction
+        assert is_pattern_free(g, make_pattern(PatternSpec.path(4)))
+        assert not is_pattern_free(g, make_pattern(PatternSpec.star(3)))
+
+
 class TestDegeneracy:
     def test_null_graph_rejected(self):
         with pytest.raises(NullGraph):

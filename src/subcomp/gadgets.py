@@ -18,7 +18,14 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import InvalidT, KindMismatch, NotSatisfying, WrongWidth
-from .graphs import Graph, PatternSpec, VertexSet, complement, make_pattern
+from .graphs import (
+    Graph,
+    PatternSpec,
+    VertexSet,
+    _checked_labels,
+    complement,
+    make_pattern,
+)
 from .values import Frozen
 from .sat import Assignment, CnfFormula, check_threshold
 
@@ -77,10 +84,19 @@ class _Builder:
         self.rows[v] |= 1 << u
 
     def all_adj(self, a: Iterable[int], b: Iterable[int]):
-        a = list(a)
+        """Make every vertex of a adjacent to every vertex of b; the two
+        sets are disjoint."""
+        a, b = list(a), list(b)
+        ma = mb = 0
+        for u in a:
+            ma |= 1 << u
         for v in b:
-            for u in a:
-                self.edge(u, v)
+            mb |= 1 << v
+        rows = self.rows
+        for u in a:
+            rows[u] |= mb
+        for v in b:
+            rows[v] |= ma
 
     def clique(self, verts: Iterable[int]):
         verts = list(verts)
@@ -100,7 +116,8 @@ class _Builder:
             self.edge(verts[u], verts[v])
 
     def finish(self, labels) -> Graph:
-        return Graph(self.n, self.rows, labels)
+        # every edge was set in both rows and never on a vertex itself
+        return Graph._unchecked(self.n, tuple(self.rows), _checked_labels(labels, self.n))
 
 
 def _labels_from_roles(roles: list[Role]) -> tuple[str, ...]:

@@ -2,17 +2,19 @@
 
 Given G and a forbidden pattern H, find S ⊆ V(G) so that complementing the
 induced subgraph on S leaves no induced copy of H. brute_solve sweeps every
-subset and works for any H; solve_kt_free exploits the structure of complete
-patterns: around the two smallest vertices of a solution, each of the four
-neighborhood regions must admit a split partition whose Q side is the
-solution restricted to that region, with split parameters fixed per region
-(see solve_kt_free).
+subset in a fixed order and works for any H; each copy it finds rejects
+whole blocks of later subsets without a search. solve_kt_free exploits the
+structure of complete patterns: around the two smallest vertices of a
+solution, each of the four neighborhood regions must admit a split
+partition whose Q side is the solution restricted to that region, with
+split parameters fixed per region (see solve_kt_free).
 """
 
 from __future__ import annotations
 
 import itertools
 import time
+from math import comb
 from typing import Callable, Optional
 
 from .errors import InvalidT, PatternTooSmall, RecognizerMismatch
@@ -77,23 +79,30 @@ class SolveReport(Frozen):
         return f"SolveReport({self.status})"
 
 
-def _subsets_by_cardinality(n: int):
-    """All subsets of {0..n-1} as bitmasks, by increasing cardinality and
-    increasing mask value within each cardinality (Gosper's hack)."""
-    yield 0
-    top = 1 << n
-    for k in range(1, n + 1):
-        m = (1 << k) - 1
-        while m < top:
-            yield m
-            c = m & -m
-            r = m + c
-            m = (((r ^ m) >> 2) // c) | r
+WINDOW = 12  # low vertices whose 2^WINDOW value combinations share one bitmap
+_LOW_MASKS: dict = {}
+
+
+def _low_masks(width: int):
+    """(ones, by_count) over the low parts x < 2^width, as 2^width-bit masks
+    with bit x standing for x: ones[v] holds the x with bit v set and
+    by_count[j] the x with j bits set. Built by doubling and cached."""
+    got = _LOW_MASKS.get(width)
+    if got is None:
+        ones, by_count, span = [], [1], 1
+        for _ in range(width):
+            # one more low bit: old parts keep their place, parts with it set move up by span
+            ones = [m | m << span for m in ones] + [((1 << span) - 1) << span]
+            by_count = [a | b << span for a, b in zip(by_count + [0], [0] + by_count)]
+            span <<= 1
+        got = _LOW_MASKS[width] = (ones, by_count)
+    return got
 
 
 def brute_solve(g: Graph, h: Graph | Pattern, cap: int = DEFAULT_SUBSET_CAP) -> SolveReport:
-    """Sweep subsets by increasing size until one complements g into an
-    h-free graph. The first hit is therefore a minimum-size solution.
+    """Sweep subsets by increasing size, and by mask value within a size
+    (colex order; Knuth, TAOCP 4A, 7.2.1.3), until one complements g into
+    an h-free graph. The first hit is therefore a minimum-size solution.
 
     G ⊕ S induces on a vertex set W exactly G[W] ⊕ (S ∩ W), so a copy of h
     found on W for S is still there for every S' with S' ∩ W = S ∩ W. Each
@@ -101,6 +110,17 @@ def brute_solve(g: Graph, h: Graph | Pattern, cap: int = DEFAULT_SUBSET_CAP) -> 
     witness is rejected without a search, and every other subset gets a full
     search of its flipped rows. A Yes therefore always comes from a search
     that found no copy.
+
+    Rejected subsets are counted in blocks, not one by one. For each size
+    k, a depth-first search decides the vertices at or above WINDOW from
+    the top, keeping as a bitmask the witnesses that agree with the decided
+    bits; a witness that lies wholly in them rejects the whole subtree. A
+    node with every high bit decided, c of them ones, holds the low parts
+    with k - c bits, and each witness rejects a precomputed bitmap of them.
+    A node with one vertex left to choose below p holds p subsets, and each
+    witness rejects a vertex mask of them. The free subsets of either leaf
+    get searched in order, so order, searches and counts equal those of a
+    one-by-one sweep.
 
     h may be a Pattern prepared once for repeated solves. Stops with Unknown
     after examining `cap` subsets, rejected ones included.
@@ -128,30 +148,107 @@ def brute_solve(g: Graph, h: Graph | Pattern, cap: int = DEFAULT_SUBSET_CAP) -> 
     if pattern.graph.n == 1:
         # only the null graph avoids an induced single vertex
         return report(YES, VertexSet.empty(0)) if g.n == 0 else report(NO)
-    rows = g.rows
-    witnesses = []  # (W, S ∩ W), the last one to reject a subset first
-    for mask in _subsets_by_cardinality(g.n):
-        if examined >= cap:
-            return report(UNKNOWN)
-        examined += 1
-        for i, (w, sw) in enumerate(witnesses):
-            if mask & w == sw:
-                if i:
-                    witnesses.insert(0, witnesses.pop(i))
-                break
-        else:
-            searches += 1
-            flipped = [
-                row ^ mask ^ (1 << v) if (mask >> v) & 1 else row
-                for v, row in enumerate(rows)
-            ]
-            copy = pattern.embed(flipped, True)
-            if copy is None:
-                return report(YES, VertexSet(mask, g.n))
-            w = 0
-            for v in copy:
-                w |= 1 << v
-            witnesses.insert(0, (w, mask & w))
+    n, rows = g.n, g.rows
+    cap = max(cap, 0)
+    low = min(WINDOW, n)
+    ones, by_count = _low_masks(low)
+    # a witness is (W, S ∩ W, the low parts it rejects given the high bits);
+    # one with W inside the window agrees with every high prefix, so it only
+    # adds to base, the union of what such witnesses reject in either leaf kind
+    witnesses = []  # the others, in the order found; witness i is bit i below
+    base = [0, 0]
+    forbid = ([0] * n, [0] * n)  # forbid[b][v]: witnesses that reject s_v = b
+    covers = [0] * (n + 1)  # covers[p]: witnesses with W inside the bits >= p
+
+    def rejected(witness, block, one_left):
+        """The part of a leaf block that matches a witness which agrees with
+        the leaf's decided bits."""
+        w, sw, bitmap = witness
+        if not one_left:
+            return bitmap
+        below = sw & block
+        if not below:
+            return block & ~w
+        return 0 if below & (below - 1) else below
+
+    def record(mask):
+        """Search g ⊕ mask; keep the copy found as a witness, None if none."""
+        nonlocal searches
+        searches += 1
+        flipped = [
+            row ^ mask ^ (1 << v) if (mask >> v) & 1 else row
+            for v, row in enumerate(rows)
+        ]
+        copy = pattern.embed(flipped, True)
+        if copy is None:
+            return None
+        w = 0
+        bitmap = (1 << (1 << low)) - 1
+        for v in copy:
+            w |= 1 << v
+            if v < low:
+                bitmap &= ones[v] if (mask >> v) & 1 else ~ones[v]
+        witness = (w, mask & w, bitmap)
+        if not w >> low:
+            base[0] |= bitmap
+            base[1] |= rejected(witness, -1, True)  # block -1: for every p
+            return witness
+        bit = 1 << len(witnesses)
+        for v in copy:
+            if v >= low:
+                forbid[1 - ((mask >> v) & 1)][v] |= bit
+        for p in range(low, min(copy) + 1):
+            covers[p] |= bit
+        witnesses.append(witness)
+        return witness
+
+    for k in range(n + 1):
+        # (p, prefix, ones left below p, agreeing witnesses, witnesses known then)
+        stack = [(n, 0, k, (1 << len(witnesses)) - 1, len(witnesses))]
+        while stack:
+            p, prefix, need, alive, known = stack.pop()
+            for i in range(known, len(witnesses)):
+                w, sw, _ = witnesses[i]
+                if not ((prefix ^ sw) & w) >> p:
+                    alive |= 1 << i
+            if alive & covers[p]:
+                # a witness inside the decided bits rejects the whole subtree
+                examined += comb(p, need)
+            elif p > low and need != 1:
+                # children in mask order: no more high ones, then next one at q
+                top = len(witnesses)
+                for q in range(p - 1, low - 1, -1):
+                    if 0 < need <= q + 1:
+                        stack.append((q, prefix | 1 << q, need - 1, alive & ~forbid[1][q], top))
+                    alive &= ~forbid[0][q]
+                if need <= low:
+                    stack.append((low, prefix, need, alive, top))
+                continue
+            else:
+                # a leaf block: bit x stands for prefix | x with every high
+                # bit decided, or for prefix | 1 << x with one vertex x < p left
+                one_left = p > low
+                block = (1 << p) - 1 if one_left else by_count[need]
+                free = block & ~base[one_left]
+                while alive:
+                    i = (alive & -alive).bit_length() - 1
+                    alive &= alive - 1
+                    free &= ~rejected(witnesses[i], block, one_left)
+                while free:
+                    x = (free & -free).bit_length() - 1
+                    index = examined + (block & ((1 << x) - 1)).bit_count() + 1
+                    if index > cap:
+                        break
+                    mask = prefix | (1 << x if one_left else x)
+                    witness = record(mask)
+                    if witness is None:
+                        examined = index
+                        return report(YES, VertexSet(mask, n))
+                    free &= ~rejected(witness, block, one_left)
+                examined += block.bit_count()
+            if examined > cap:
+                examined = cap
+                return report(UNKNOWN)
     return report(NO)
 
 

@@ -139,6 +139,21 @@ class TestSolve:
         assert report["status"] == "Unknown"
         assert report["stats"]["recognizer_calls"] == 1
 
+    def test_large_graph_budget_ends_in_exit_code(self, tmp_path, capsys):
+        # 2,000 vertices: rejected subsets are counted in blocks, so the
+        # budget is reached after a few searches and nothing of size 2^n
+        # is built
+        g = complement(make_pattern(PatternSpec.path(2000)))
+        code = main([
+            "solve", "--target", "pattern", "--pattern", "K3", "--budget", "1000",
+            write_g6(tmp_path, g6_encode(g)),
+        ])
+        report = last_json(capsys)
+        assert code == 2
+        assert report["status"] == "Unknown"
+        assert report["stats"]["subsets_examined"] == 1000
+        assert report["stats"]["elapsed"] < 30
+
     def test_degenerate_recognizer_stays_sound(self, tmp_path, capsys):
         # C_5 has degeneracy 2 <= t-2 for t=4, so the subclass recognizer
         # accepts immediately; the answer must still be a real one.

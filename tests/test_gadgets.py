@@ -6,6 +6,7 @@ indexing scheme.
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -38,6 +39,7 @@ from subcomp.graphs import (
 )
 from subcomp.sat import Assignment, CnfFormula, brute_sat, check_threshold
 from subcomp.solvers import brute_solve
+from subcomp.verify import random_graph
 
 PHI_41 = CnfFormula(4, [[1, 2, 3, 4]])
 PHI_53 = CnfFormula(5, [[1, 2, 3, 4], [-1, 2, -3, 5], [1, -2, 4, -5]])
@@ -533,3 +535,33 @@ class TestCertificateJson:
         assert doc["params"]["t"] == 3
         assert doc["params"]["source"] == {"n": 3, "edges": [[0, 1], [1, 2]]}
         assert doc["size_formula_check"]["ok"] is True
+
+
+class TestBuilder:
+    def test_graphs_pass_the_checked_constructor(self):
+        # gadgets are built without the constructor's symmetry and loop
+        # checks; rebuilding each one through them must give the same graph
+        rng = random.Random(17)
+        for _ in range(3):
+            nvars = rng.randint(4, 6)
+            clauses = [
+                [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, nvars + 1), 4)]
+                for _ in range(rng.randint(1, 3))
+            ]
+            phi = CnfFormula(nvars, clauses)
+            source = random_graph(rng, rng.randint(1, 5))
+            for inst in (
+                k15_gadget(phi),
+                k15_gadget(phi, add_dummy_clause=True),
+                p7_gadget(phi),
+                p8_gadget(phi),
+                c8_gadget(phi),
+                star_inductive(source, 2),
+                path_inductive(source, 3),
+                cycle_inductive(source, 4),
+            ):
+                g = inst.graph
+                checked = Graph(g.n, g.rows, g.labels)
+                assert checked == g
+                assert checked.labels == g.labels
+                assert type(g.rows) is tuple

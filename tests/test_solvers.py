@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subcomp import solvers
 from subcomp.errors import InvalidT, PatternTooSmall, RecognizerMismatch
 from subcomp.graphs import (
     Graph,
@@ -24,7 +25,6 @@ from subcomp.graphs import (
 from subcomp.solvers import (
     SolveReport,
     _region_masks,
-    _subsets_by_cardinality,
     brute_solve,
     kt_free_recognizer,
     solve_complement_class,
@@ -57,6 +57,20 @@ def graphs(draw, max_n=6, min_n=0):
                 rows[v] |= 1 << u
             i += 1
     return Graph(n, rows)
+
+
+def _subsets_by_cardinality(n: int):
+    """The order brute_solve examines subsets in, one by one: by increasing
+    cardinality, then by increasing mask value (Gosper's hack)."""
+    yield 0
+    top = 1 << n
+    for k in range(1, n + 1):
+        m = (1 << k) - 1
+        while m < top:
+            yield m
+            c = m & -m
+            r = m + c
+            m = (((r ^ m) >> 2) // c) | r
 
 
 class TestSubsetOrder:
@@ -182,6 +196,71 @@ class TestBruteSolve:
             searches.clear()
             assert brute_solve(g, h).stats["recognizer_calls"] == len(searches) > 0
         assert brute_solve(Graph(2, [0, 0]), Graph(1, [0])).stats["recognizer_calls"] == 0
+
+
+# every pattern the window tests sweep, prepared once
+WINDOW_PATTERNS = {
+    name: Pattern(h)
+    for name, h in dict(
+        BRUTE_PATTERNS,
+        K3=K3,
+        E3=make_pattern(PatternSpec.empty(3)),
+        C5=make_pattern(PatternSpec.cycle(5)),
+        P5=make_pattern(PatternSpec.path(5)),
+    ).items()
+}
+
+
+def outcome(r):
+    return r.status, r.solution, r.stats["subsets_examined"], r.stats["recognizer_calls"]
+
+
+class TestBruteSolveBlocks:
+    def test_same_outcome_at_every_window_width(self, monkeypatch):
+        # widths 1-3 leave most vertices above the window, so deep stacks
+        # and both leaf kinds run even at small n
+        widths = (1, 2, 3, solvers.WINDOW)
+        rng = random.Random(11)
+        for n in range(17):
+            for _ in range(3 if n <= 12 else 1):
+                g = random_graph(rng, n)
+                cap = rng.randint(1, 2**n)
+                for h in WINDOW_PATTERNS.values():
+                    seen = set()
+                    for width in widths:
+                        monkeypatch.setattr(solvers, "WINDOW", width)
+                        seen.add(outcome(brute_solve(g, h)))
+                        if n <= 12:
+                            seen.add(("cap",) + outcome(brute_solve(g, h, cap)))
+                    assert len(seen) == (2 if n <= 12 else 1), (n, seen)
+
+    def test_cap_boundaries(self):
+        rng = random.Random(3)
+        for n in range(1, 11):
+            g = random_graph(rng, n)
+            for h in WINDOW_PATTERNS.values():
+                full = brute_solve(g, h)
+                if full.status == "Yes":
+                    i = full.stats["subsets_examined"]
+                    at = brute_solve(g, h, cap=i)
+                    assert outcome(at) == outcome(full)
+                    before = brute_solve(g, h, cap=i - 1)
+                    assert before.status == "Unknown"
+                    assert before.stats["subsets_examined"] == i - 1
+                else:
+                    assert outcome(brute_solve(g, h, cap=2**n)) == outcome(full)
+                    short = brute_solve(g, h, cap=2**n - 1)
+                    assert short.status == "Unknown"
+                    assert short.stats["subsets_examined"] == 2**n - 1
+
+    def test_large_graph_stops_at_cap(self):
+        # 300 vertices sit far above the window: only a few searches run,
+        # and rejected subsets are counted without being enumerated
+        g = random_graph(random.Random(4), 300)
+        r = brute_solve(g, K3, cap=2**16)
+        assert r.status == "Unknown"
+        assert r.stats["subsets_examined"] == 2**16
+        assert 0 < r.stats["recognizer_calls"] < 100
 
 
 class TestSolveKtFree:

@@ -7,12 +7,13 @@ whole blocks of later subsets without a search. solve_kt_free exploits the
 structure of complete patterns: around the two smallest vertices of a
 solution, each of the four neighborhood regions must admit a split
 partition whose Q side is the solution restricted to that region, with
-split parameters fixed per region (see solve_kt_free).
+split parameters fixed per region. It keeps every K_t it finds the same
+way, so one copy prunes later pairs before their split work and cuts whole
+branches of the recombination (see solve_kt_free).
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from math import comb
 from typing import Callable, Optional
@@ -271,6 +272,42 @@ def _region_masks(g: Graph, u: int, v: int) -> tuple[int, int, int, int]:
     return a, b, c, d
 
 
+def _region_lists(g: Graph, u: int, v: int, params) -> Optional[list]:
+    """(region mask, Q sides as whole-graph masks) for each region around
+    the pair, or None when some region admits no split partition."""
+    below_v = (1 << v) - 1
+    lists = []
+    for mask, (p, q) in zip(_region_masks(g, u, v), params):
+        region = VertexSet(mask, g.n)
+        verts = region.members()
+        sub = induced(g, region)
+        seed = find_split_partition(sub, p, q)
+        if seed is None:
+            return None
+        # the region's vertices below v come first in local order
+        forced = (1 << (mask & below_v).bit_count()) - 1
+        parts = enumerate_split_partitions(sub, p, q, seed, forced)
+        if not parts:
+            return None
+        # map each Q side back to whole-graph vertex indices
+        qmasks = []
+        for sp in parts:
+            qb = 0
+            for j in sp.Q.members():
+                qb |= 1 << verts[j]
+            qmasks.append(qb)
+        lists.append((mask, qmasks))
+    return lists
+
+
+def _first_inside(w: int, decided: list) -> int:
+    """The first level i >= 1 whose decided vertices hold all of w."""
+    i = 1
+    while w & ~decided[i]:
+        i += 1
+    return i
+
+
 def solve_kt_free(
     g: Graph,
     t: int,
@@ -292,25 +329,40 @@ def solve_kt_free(
     examined from its own pair only. Solutions smaller than two members only
     exist when g is already K_t-free, which step 0 handles.
 
-    The recognizer decides membership in the target class (default: K_t-free
-    by induced-subgraph search); the region argument holds for any subclass
-    of the K_t-free graphs. With debug_check on, every recognizer verdict is
-    cross-checked against the default and a disagreement raises
-    RecognizerMismatch.
+    Every K_t found is kept as a witness (W, S ∩ W): G ⊕ S induces
+    G[W] ⊕ (S ∩ W) on W, so the copy is still there for every S' that
+    agrees with S on W. The witnesses rule candidates out in three places.
+    A pair is first decided on {0..v}, where every candidate has
+    S ∩ {0..v} = {u, v}: it is pruned, before any split work, when a
+    witness lies there and agrees, or when one search of that induced
+    subgraph finds a copy. The region partitions are then recombined depth
+    first, one region at a time, in the order of a product over the four
+    lists; a branch is cut when a witness lies inside {0..v} and the regions
+    decided so far and agrees with them. A candidate that survives gets one
+    K_t search of G ⊕ S, and a copy found there cuts the rest of the
+    smallest branch that decides it.
 
-    Stops with Unknown after examining `cap` candidate sets.
+    The recognizer decides membership in the target class (default: K_t-free,
+    which that search decides). The region argument holds for any subclass
+    of the K_t-free graphs, so a custom recognizer is only asked about
+    candidates the search found K_t-free, and about g itself at step 0. With
+    debug_check on, every verdict of a custom recognizer is cross-checked
+    against the default and a disagreement raises RecognizerMismatch.
+
+    Stops with Unknown after examining `cap` candidate sets. A cut branch
+    counts every candidate in it, so within a pair the count is the one a
+    sweep of every candidate would reach.
     """
     if t < 1:
         raise InvalidT(f"clique order must be positive, got {t}")
-    base = kt_free_recognizer(t)
-    if recognizer is None:
-        recognizer = base
-    if debug_check:
-        inner = recognizer
+    kt = Pattern(make_pattern(PatternSpec.complete(t)))
+    custom = recognizer
+    if debug_check and custom is not None:
+        inner = custom
 
-        def recognizer(gg: Graph, _inner=inner) -> bool:
+        def custom(gg: Graph, _inner=inner) -> bool:
             got = _inner(gg)
-            if got != base(gg):
+            if got != is_pattern_free(gg, kt):
                 raise RecognizerMismatch(
                     f"recognizer disagrees with K_{t}-freeness on a {gg.n}-vertex graph"
                 )
@@ -320,62 +372,101 @@ def solve_kt_free(
     pairs = 0
     pruned = 0
     examined = 0
+    calls = 1  # step 0
 
     def report(status, solution=None):
         stats = {
             "subsets_examined": examined,
             "pairs_examined": pairs,
             "pairs_pruned": pruned,
-            "recognizer_calls": examined + 1,  # step 0, then one per candidate
+            "recognizer_calls": calls,
             "elapsed": time.perf_counter() - start,
         }
         return SolveReport(status, solution, stats, solution is not None)
 
-    if recognizer(g):
+    if custom(g) if custom is not None else is_pattern_free(g, kt):
         return report(YES, VertexSet.empty(g.n))
     if t == 1:
         # K_1-free means null; complementing never removes vertices
         return report(NO)
 
+    n, rows = g.n, g.rows
+    cap = max(cap, 0)
+    witnesses = []  # (W, S ∩ W) as masks, one per K_t found
     lo, hi = max(t - 2, 1), t - 1
     # in _region_masks order: common, neither, u only, v only
     params = ((lo, hi), (hi, lo), (lo, lo), (lo, lo))
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
+    for u in range(n):
+        for v in range(u + 1, n):
             pairs += 1
-            below_v = (1 << v) - 1
-            region_lists = []
-            for mask, (p, q) in zip(_region_masks(g, u, v), params):
-                region = VertexSet(mask, g.n)
-                verts = region.members()
-                sub = induced(g, region)
-                seed = find_split_partition(sub, p, q)
-                if seed is None:
-                    break
-                # the region's vertices below v come first in local order
-                forced = (1 << (mask & below_v).bit_count()) - 1
-                parts = enumerate_split_partitions(sub, p, q, seed, forced)
-                if not parts:
-                    break
-                # map each Q side back to whole-graph vertex indices
-                qmasks = []
-                for sp in parts:
-                    qb = 0
-                    for j in sp.Q.members():
-                        qb |= 1 << verts[j]
-                    qmasks.append(qb)
-                region_lists.append(qmasks)
-            if len(region_lists) < 4:
+            uv = (1 << u) | (1 << v)
+            low = (1 << (v + 1)) - 1  # every candidate has S ∩ low = uv
+            lists = None
+            # a witness inside low that agrees with uv there rules the pair out
+            if not any(not (w & ~low or (uv ^ sw) & w) for w, sw in witnesses):
+                probe = list(rows)
+                probe[u] ^= 1 << v
+                probe[v] ^= 1 << u
+                copy = kt.embed(probe, True, low)
+                if copy is None:
+                    lists = _region_lists(g, u, v, params)
+                else:
+                    w = sum(1 << x for x in copy)
+                    witnesses.append((w, uv & w))
+            if lists is None:
                 pruned += 1
                 continue
-            uv = (1 << u) | (1 << v)
-            for qa, qb, qc, qd in itertools.product(*region_lists):
-                if examined >= cap:
+            # decided[i]: the vertices known once i regions are chosen;
+            # cuts[i]: the agreeing witnesses that decided[i] holds first
+            decided = [low]
+            for region, _ in lists:
+                decided.append(decided[-1] | region)
+            cuts = [[] for _ in range(5)]
+            for w, sw in witnesses:
+                if not (uv ^ sw) & w & low:
+                    cuts[_first_inside(w, decided)].append((w, sw))
+            sizes = [len(qs) for _, qs in lists]
+            weight = [sizes[1] * sizes[2] * sizes[3], sizes[2] * sizes[3], sizes[3], 1]
+            chosen = [uv, 0, 0, 0]  # chosen[i]: S ∩ decided[i]
+            index = [-1] * 4
+            i = 0
+            while i >= 0:
+                index[i] += 1
+                if index[i] == sizes[i]:
+                    index[i] = -1
+                    i -= 1
+                    continue
+                s = chosen[i] | lists[i][1][index[i]]
+                if any(not (s ^ sw) & w for w, sw in cuts[i + 1]):
+                    examined += weight[i]
+                elif i < 3:
+                    chosen[i + 1] = s
+                    i += 1
+                    continue
+                else:
+                    if examined >= cap:
+                        return report(UNKNOWN)
+                    examined += 1
+                    flipped = subgraph_complement(g, VertexSet(s, n))
+                    copy = kt.embed(flipped.rows, True)
+                    if copy is None:
+                        calls += 1
+                        if custom is None or custom(flipped):
+                            return report(YES, VertexSet(s, n))
+                        continue
+                    calls += custom is None  # that search is the default recognizer
+                    w = sum(1 << x for x in copy)
+                    level = _first_inside(w, decided)
+                    cuts[level].append((w, s & w))
+                    witnesses.append((w, s & w))
+                    # every later candidate that keeps choices 0..level-1 is cut
+                    for j in range(level, 4):
+                        examined += (sizes[j] - 1 - index[j]) * weight[j]
+                        index[j] = -1
+                    i = level - 1
+                if examined > cap:
+                    examined = cap
                     return report(UNKNOWN)
-                examined += 1
-                s = VertexSet(qa | qb | qc | qd | uv, g.n)
-                if recognizer(subgraph_complement(g, s)):
-                    return report(YES, s)
     return report(NO)
 
 

@@ -42,6 +42,7 @@ from subcomp import (
     star_inductive,
     subgraph_complement,
 )
+from subcomp.matcher import Pattern
 
 SEED = 20260819
 
@@ -139,8 +140,9 @@ def test_criterion_02_complement_class_duality():
     """Brute answers for P_3-free on G and for its complement pattern on
     complement(G) agree on every graph with n <= 6, and each side's
     certificate solves the other side unchanged."""
-    p3 = make_pattern(PatternSpec.path(3))
-    p3bar = complement(p3)
+    # prepared once: every solve and freeness test below reuses them
+    p3 = Pattern(make_pattern(PatternSpec.path(3)))
+    p3bar = Pattern(complement(p3.graph))
     failures = 0
     for n in range(7):
         for g in _all_graphs(n):

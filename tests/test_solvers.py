@@ -17,6 +17,7 @@ from subcomp.graphs import (
     complement,
     degeneracy,
     find_induced,
+    induced,
     is_pattern_free,
     make_pattern,
     no_instance,
@@ -30,6 +31,7 @@ from subcomp.solvers import (
     solve_complement_class,
     solve_kt_free,
 )
+from subcomp.split import enumerate_split_partitions, find_split_partition
 from subcomp.verify import all_graphs, random_graph
 
 K2 = make_pattern(PatternSpec.complete(2))
@@ -71,6 +73,51 @@ def _subsets_by_cardinality(n: int):
             c = m & -m
             r = m + c
             m = (((r ^ m) >> 2) // c) | r
+
+
+def _kt_sweep(g: Graph, t: int, recognizer):
+    """What solve_kt_free did before it kept K_t witnesses: split seeding
+    and enumeration for every pair, then every candidate of the product of
+    the four region lists with one recognizer call each. Returns (status,
+    solution mask or None, pairs examined, candidates examined)."""
+    if recognizer(g):
+        return "Yes", 0, 0, 0
+    if t == 1:
+        return "No", None, 0, 0
+    lo, hi = max(t - 2, 1), t - 1
+    params = ((lo, hi), (hi, lo), (lo, lo), (lo, lo))
+    pairs = examined = 0
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            pairs += 1
+            region_lists = []
+            for mask, (p, q) in zip(_region_masks(g, u, v), params):
+                region = VertexSet(mask, g.n)
+                verts = region.members()
+                sub = induced(g, region)
+                seed = find_split_partition(sub, p, q)
+                if seed is None:
+                    break
+                forced = (1 << (mask & ((1 << v) - 1)).bit_count()) - 1
+                parts = enumerate_split_partitions(sub, p, q, seed, forced)
+                if not parts:
+                    break
+                region_lists.append(
+                    [sum(1 << verts[j] for j in sp.Q.members()) for sp in parts]
+                )
+            if len(region_lists) < 4:
+                continue
+            for qs in itertools.product(*region_lists):
+                examined += 1
+                s = VertexSet(sum(qs) | 1 << u | 1 << v, g.n)
+                if recognizer(subgraph_complement(g, s)):
+                    return "Yes", s.bits, pairs, examined
+    return "No", None, pairs, examined
+
+
+def _degenerate(t):
+    """The (t-2)-degenerate graphs, a subclass of the K_t-free ones."""
+    return lambda gg: gg.n == 0 or degeneracy(gg) <= t - 2
 
 
 class TestSubsetOrder:
@@ -313,35 +360,53 @@ class TestSolveKtFree:
         assert r.stats["subsets_examined"] == 3
 
     def test_recognizer_calls_include_step_zero(self):
-        calls = []
-        base = kt_free_recognizer(3)
+        # step 0 asks about g itself; after it, only candidates whose K_3
+        # search found no copy reach the recognizer, each one once
+        k3_free = kt_free_recognizer(3)
+        cases = (
+            (make_pattern(PatternSpec.cycle(5)), k3_free),
+            (make_pattern(PatternSpec.complete(4)), k3_free),
+            (complement(no_instance(K3)), k3_free),
+            (make_pattern(PatternSpec.cycle(6)), _degenerate(3)),
+            (complement(make_pattern(PatternSpec.cycle(6))), _degenerate(3)),
+        )
+        seen_calls = []
+        for g, target in cases:
+            calls = []
 
-        def counting(gg):
-            calls.append(gg)
-            return base(gg)
+            def counting(gg, target=target):
+                calls.append(gg.rows)
+                return target(gg)
 
-        c5 = make_pattern(PatternSpec.cycle(5))
-        assert solve_kt_free(c5, 3, recognizer=counting).stats["recognizer_calls"] == 1
-        for g in (make_pattern(PatternSpec.complete(4)), complement(no_instance(K3))):
-            calls.clear()
             r = solve_kt_free(g, 3, recognizer=counting)
-            assert r.stats["recognizer_calls"] == len(calls) == r.stats["subsets_examined"] + 1
+            assert r.stats["recognizer_calls"] == len(calls)
+            assert calls[0] == g.rows
+            assert all(k3_free(Graph(g.n, rows)) for rows in calls[1:])
+            assert len(set(calls)) == len(calls)
+            assert len(calls) <= r.stats["subsets_examined"] + 1
+            seen_calls.append(len(calls))
+        # C5 stops at step 0; the degenerate target rejects K_3-free candidates
+        assert seen_calls[0] == 1 and min(seen_calls[3:]) > 2
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_each_candidate_once_on_g16(self, seed):
+    def test_each_candidate_once_on_g16(self, seed, monkeypatch):
         # Every candidate holds its pair, so distinct candidates flip
-        # distinct edge sets: the recognizer must never see a graph twice,
-        # and the count stays below the 2^16 subsets brute force would try.
-        seen = []
-        base = kt_free_recognizer(3)
+        # distinct edge sets: no flipped graph is built twice, every one is
+        # searched by the default recognizer, and the count stays below the
+        # 2^16 subsets brute force would try.
+        built = []
+        flip = solvers.subgraph_complement
 
-        def recording(gg):
-            seen.append(gg.rows)
-            return base(gg)
+        def recording(gg, s):
+            out = flip(gg, s)
+            built.append(out.rows)
+            return out
 
-        r = solve_kt_free(random_graph(random.Random(seed), 16), 3, recognizer=recording)
+        monkeypatch.setattr(solvers, "subgraph_complement", recording)
+        r = solve_kt_free(random_graph(random.Random(seed), 16), 3)
         assert r.stats["subsets_examined"] < 2**16
-        assert len(seen) == len(set(seen)) == r.stats["subsets_examined"] + 1
+        assert len(built) == len(set(built)) == r.stats["recognizer_calls"] - 1
+        assert len(built) < r.stats["subsets_examined"]
 
     def test_degenerate_subclass_matches_brute_force(self):
         """Target the (t-2)-degenerate graphs, a subclass of the K_t-free
@@ -351,10 +416,7 @@ class TestSolveKtFree:
         pool = [g for n in range(6) for g in all_graphs(n)]
         pool += [random_graph(rng, 6) for _ in range(150)]
         for t in (2, 3, 4):
-
-            def recognize(gg):
-                return gg.n == 0 or degeneracy(gg) <= t - 2
-
+            recognize = _degenerate(t)
             for g in pool:
                 want = any(
                     recognize(subgraph_complement(g, VertexSet(m, g.n)))
@@ -385,6 +447,55 @@ class TestSolveKtFree:
         k4 = make_pattern(PatternSpec.complete(4))
         r = solve_kt_free(k4, 3, recognizer=kt_free_recognizer(3), debug_check=True)
         assert r.status == "Yes"
+
+
+class TestKtWitnesses:
+    """solve_kt_free against _kt_sweep, which keeps no witnesses."""
+
+    def test_matches_sweep(self):
+        # every graph with n <= 5 and seeded ones with n = 6-12; status,
+        # solution and pairs are equal, and witnesses only lower the count
+        rng = random.Random(8)
+        pool = [g for n in range(6) for g in all_graphs(n)]
+        pool += [random_graph(rng, n) for n in range(6, 13) for _ in range(12)]
+        fewer = 0
+        for t in (2, 3, 4):
+            for target in (None, _degenerate(t)):
+                for g in pool:
+                    r = solve_kt_free(g, t, recognizer=target)
+                    status, solution, pairs, examined = _kt_sweep(
+                        g, t, target or kt_free_recognizer(t)
+                    )
+                    got = None if r.solution is None else r.solution.bits
+                    assert (r.status, got) == (status, solution), (g.rows, t)
+                    assert r.stats["pairs_examined"] == pairs
+                    assert r.stats["subsets_examined"] <= examined
+                    fewer += r.stats["subsets_examined"] < examined
+        assert fewer > 0
+
+    def test_cap_boundaries(self):
+        # the solver's own count as cap changes nothing, one less is Unknown
+        rng = random.Random(9)
+        for n in range(4, 12):
+            for _ in range(6):
+                g = random_graph(rng, n)
+                for t in (2, 3, 4):
+                    for target in (None, _degenerate(t)):
+                        full = solve_kt_free(g, t, recognizer=target)
+                        c = full.stats["subsets_examined"]
+                        at = solve_kt_free(g, t, recognizer=target, cap=c)
+                        assert (at.status, at.solution) == (full.status, full.solution)
+                        assert at.stats["subsets_examined"] == c
+                        if c:
+                            short = solve_kt_free(g, t, recognizer=target, cap=c - 1)
+                            assert short.status == "Unknown"
+                            assert short.stats["subsets_examined"] == c - 1
+
+    def test_g18_t4_no_matches_brute(self):
+        g = random_graph(random.Random(4), 18)
+        r = solve_kt_free(g, 4)
+        assert r.status == brute_solve(g, Pattern(make_pattern(PatternSpec.complete(4)))).status == "No"
+        assert r.stats["pairs_examined"] == 18 * 17 // 2
 
 
 class TestComplementClass:

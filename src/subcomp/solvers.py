@@ -24,14 +24,18 @@ from .graphs import (
     PatternSpec,
     VertexSet,
     complement,
-    induced,
     is_pattern_free,
     make_pattern,
     subgraph_complement,
 )
 from .matcher import Pattern
-from .split import enumerate_split_partitions, find_split_partition
+from .split import region_q_sides
 from .values import Frozen
+
+# bench/spans.py traces layers by rebinding names in this module, so these
+# stay importable here although the solver no longer calls them
+from .graphs import induced  # noqa: F401
+from .split import enumerate_split_partitions, find_split_partition  # noqa: F401
 
 DEFAULT_SUBSET_CAP = 1 << 26
 
@@ -272,30 +276,20 @@ def _region_masks(g: Graph, u: int, v: int) -> tuple[int, int, int, int]:
     return a, b, c, d
 
 
-def _region_lists(g: Graph, u: int, v: int, params) -> Optional[list]:
+def _region_lists(g: Graph, u: int, v: int, params, co_rows, memo: dict) -> Optional[list]:
     """(region mask, Q sides as whole-graph masks) for each region around
-    the pair, or None when some region admits no split partition."""
+    the pair, or None when some region admits no split partition. Every
+    vertex of a region below v stays on its P side. Lists are kept in memo
+    by (region, p, q, forced), since regions repeat across pairs."""
     below_v = (1 << v) - 1
     lists = []
     for mask, (p, q) in zip(_region_masks(g, u, v), params):
-        region = VertexSet(mask, g.n)
-        verts = region.members()
-        sub = induced(g, region)
-        seed = find_split_partition(sub, p, q)
-        if seed is None:
+        key = (mask, p, q, mask & below_v)
+        qmasks = memo.get(key)
+        if qmasks is None:
+            qmasks = memo[key] = region_q_sides(g.rows, co_rows, mask, p, q, mask & below_v)
+        if not qmasks:
             return None
-        # the region's vertices below v come first in local order
-        forced = (1 << (mask & below_v).bit_count()) - 1
-        parts = enumerate_split_partitions(sub, p, q, seed, forced)
-        if not parts:
-            return None
-        # map each Q side back to whole-graph vertex indices
-        qmasks = []
-        for sp in parts:
-            qb = 0
-            for j in sp.Q.members():
-                qb |= 1 << verts[j]
-            qmasks.append(qb)
         lists.append((mask, qmasks))
     return lists
 
@@ -391,6 +385,8 @@ def solve_kt_free(
         return report(NO)
 
     n, rows = g.n, g.rows
+    co_rows = complement(g).rows
+    memo = {}
     cap = max(cap, 0)
     witnesses = []  # (W, S ∩ W) as masks, one per K_t found
     lo, hi = max(t - 2, 1), t - 1
@@ -409,7 +405,7 @@ def solve_kt_free(
                 probe[v] ^= 1 << u
                 copy = kt.embed(probe, True, low)
                 if copy is None:
-                    lists = _region_lists(g, u, v, params)
+                    lists = _region_lists(g, u, v, params, co_rows, memo)
                 else:
                     w = sum(1 << x for x in copy)
                     witnesses.append((w, uv & w))

@@ -5,11 +5,16 @@ no clique on p+1 vertices and G[Q] has no independent set on q+1 vertices.
 Any two such partitions of the same graph differ on fewer than R(p+1, q+1)
 vertices per side, which is what keeps the enumeration polynomial for fixed
 p and q.
+
+region_q_sides works on a vertex mask of a host graph, given the rows of
+the host and of its complement; the public functions run the same searches
+on every vertex. The exchanges with a seed partition grow one vertex at a
+time and stop as soon as a side gains a forbidden clique, rather than
+validating each candidate.
 """
 
 from __future__ import annotations
 
-import itertools
 from math import comb
 from typing import Optional
 
@@ -65,6 +70,8 @@ def _least_clique(rows, within: int, size: int) -> Optional[int]:
     vertex order, as a bitmask, or None. size=0 finds the empty clique."""
     if size == 0:
         return 0
+    if size == 1:
+        return (within & -within) or None
 
     def grow(chosen: int, count: int, cand: int) -> Optional[int]:
         if count == size:
@@ -121,8 +128,40 @@ def is_split_partition(
     return _least_clique(co_rows, qbits, q + 1) is None
 
 
-def find_split_partition(g: Graph, p: int, q: int) -> Optional[SplitPartition]:
-    """One (p, q)-split partition of g, or None when the graph has none.
+def _clique_through(rows, within: int, size: int, through: int) -> bool:
+    """Whether the mask `within` holds a clique of the given size (>= 1)
+    with a vertex in `through`: one search through each such vertex, which
+    then leaves `within` since every clique through it has been tried."""
+    while through:
+        vbit = through & -through
+        through ^= vbit
+        if _least_clique(rows, within & rows[vbit.bit_length() - 1], size - 1) is not None:
+            return True
+        within &= ~vbit
+    return False
+
+
+def _grow(rows, base: int, cand: int, size: int) -> list[int]:
+    """Every base | Y with Y ⊆ cand that gains no clique on size+1 vertices
+    (base has none), by a depth-first search that adds the vertices of Y in
+    ascending order and tests only the cliques through the new vertex. The
+    property is hereditary, so pruning a set prunes every superset."""
+    out = [base]
+    stack = [(base, cand)]
+    while stack:
+        got, cand = stack.pop()
+        while cand:
+            vbit = cand & -cand
+            cand ^= vbit
+            if _least_clique(rows, got & rows[vbit.bit_length() - 1], size) is None:
+                out.append(got | vbit)
+                stack.append((got | vbit, cand))
+    return out
+
+
+def _seed_q(rows, co_rows, region: int, p: int, q: int) -> Optional[int]:
+    """Q side of the first (p, q)-split partition of the subgraph induced on
+    the mask `region`, or None when it has none.
 
     Branching on cliques: while the tentative P side still holds a K_{p+1},
     one of its vertices must move to Q; branch over the p+1 choices, lowest
@@ -131,11 +170,6 @@ def find_split_partition(g: Graph, p: int, q: int) -> Optional[SplitPartition]:
     so a deep branch (up to n levels) cannot exhaust the interpreter's
     recursion limit.
     """
-    if p < 1 or q < 1:
-        raise InvalidArgs(f"split parameters must be positive, got ({p}, {q})")
-    rows = g.rows
-    co_rows = complement(g).rows
-    full = (1 << g.n) - 1
     seen = set()
     stack = [0]
     while stack:
@@ -145,11 +179,9 @@ def find_split_partition(g: Graph, p: int, q: int) -> Optional[SplitPartition]:
         seen.add(qbits)
         if _least_clique(co_rows, qbits, q + 1) is not None:
             continue
-        clique = _least_clique(rows, full & ~qbits, p + 1)
+        clique = _least_clique(rows, region & ~qbits, p + 1)
         if clique is None:
-            return SplitPartition(
-                p, q, VertexSet(full & ~qbits, g.n), VertexSet(qbits, g.n)
-            )
+            return qbits
         branches = []
         while clique:
             vbit = clique & -clique
@@ -159,18 +191,70 @@ def find_split_partition(g: Graph, p: int, q: int) -> Optional[SplitPartition]:
     return None
 
 
+def _exchanges(rows, co_rows, p: int, q: int, pbits: int, qbits: int, forced: int) -> list[int]:
+    """Q sides of every (p, q)-split partition of the subgraph induced on
+    pbits | qbits that keeps the mask `forced` on the P side, sorted by P
+    side, grown from the valid partition (pbits, qbits).
+
+    Another partition (P', Q') moves X = P ∩ Q' to Q and Y = Q ∩ P' to P.
+    X must hold no independent (q+1)-set, and (P \\ X) ∪ Y no K_{p+1}; both
+    are hereditary, so X and Y grow by pruned depth-first search, and the
+    Ramsey bound keeps each below R(p+1, q+1). The one remaining test, Q'
+    free of independent (q+1)-sets, can only fail through a vertex of X.
+    Y always holds the forced part of Q, and a forced vertex never joins X.
+    Distinct (X, Y) give distinct P sides.
+    """
+    region = pbits | qbits
+    must = qbits & forced
+    keep = qbits & ~forced
+    sides = []
+    for x in _grow(co_rows, 0, pbits & ~forced, q):
+        rest = (pbits & ~x) | must
+        if _clique_through(rows, rest, p + 1, must):
+            continue
+        # with every vertex of keep staying on Q, Q' is largest; if that is free, all are
+        loose = x and _clique_through(co_rows, keep | x, q + 1, x)
+        for pb in _grow(rows, rest, keep, p):
+            if not (loose and _clique_through(co_rows, region & ~pb, q + 1, x)):
+                sides.append(pb)
+    sides.sort()
+    return [region ^ pb for pb in sides]
+
+
+def region_q_sides(rows, co_rows, region: int, p: int, q: int, forced: int) -> list[int]:
+    """Q sides of every (p, q)-split partition of the host's subgraph induced
+    on the mask `region` with Q disjoint from `forced`, as host masks sorted
+    by P side; empty when there is none. rows and co_rows are the host's
+    adjacency rows and those of its complement."""
+    qbits = _seed_q(rows, co_rows, region, p, q)
+    if qbits is None:
+        return []
+    return _exchanges(rows, co_rows, p, q, region & ~qbits, qbits, forced)
+
+
+def find_split_partition(g: Graph, p: int, q: int) -> Optional[SplitPartition]:
+    """One (p, q)-split partition of g, or None when the graph has none: the
+    clique-branching search of _seed_q over every vertex."""
+    if p < 1 or q < 1:
+        raise InvalidArgs(f"split parameters must be positive, got ({p}, {q})")
+    full = (1 << g.n) - 1
+    qbits = _seed_q(g.rows, complement(g).rows, full, p, q)
+    if qbits is None:
+        return None
+    return SplitPartition(p, q, VertexSet(full & ~qbits, g.n), VertexSet(qbits, g.n))
+
+
 def enumerate_split_partitions(
     g: Graph, p: int, q: int, seed: SplitPartition, forced_p: int = 0
 ) -> list[SplitPartition]:
     """All (p, q)-split partitions of g with Q disjoint from the bitmask
-    forced_p, grown from one seed partition.
+    forced_p, grown from one seed partition and sorted by P side.
 
-    Any other partition (P', Q') satisfies |P ∩ Q'| and |Q ∩ P'| below
-    R(p+1, q+1), so sweeping bounded exchanges X ⊆ P, Y ⊆ Q and validating
-    each candidate finds every partition. A forced vertex never joins X, and
-    every Y holds the forced part of the seed's Q side; when that part alone
-    reaches the bound, no partition qualifies. Results are deduplicated by
-    the P-side bitmask and returned sorted by it.
+    Any other partition differs from the seed by bounded exchanges X ⊆ P
+    and Y ⊆ Q, below R(p+1, q+1) vertices each. They are grown vertex by
+    vertex and pruned as soon as X gains an independent (q+1)-set or the new
+    P side a K_{p+1}, so no candidate is validated from scratch (see
+    _exchanges).
     """
     if p < 1 or q < 1:
         raise InvalidArgs(f"split parameters must be positive, got ({p}, {q})")
@@ -179,27 +263,8 @@ def enumerate_split_partitions(
     co_rows = complement(g).rows
     if not is_split_partition(g, p, q, seed.P.bits, seed.Q.bits, co_rows):
         raise InvalidSeed("seed is not a valid split partition of this graph")
-    bound = ramsey_bound(p + 1, q + 1).value
-    must = seed.Q.bits & forced_p
-    y_room = bound - 1 - must.bit_count()
-    if y_room < 0:
-        return []
-    pmem = VertexSet(seed.P.bits & ~forced_p, g.n).members()
-    qmem = VertexSet(seed.Q.bits & ~forced_p, g.n).members()
-    found: dict[int, int] = {}
-    for xs in range(min(bound - 1, len(pmem)) + 1):
-        for x_combo in itertools.combinations(pmem, xs):
-            xm = sum(1 << v for v in x_combo)
-            for ys in range(min(y_room, len(qmem)) + 1):
-                for y_combo in itertools.combinations(qmem, ys):
-                    ym = must | sum(1 << v for v in y_combo)
-                    pb = (seed.P.bits ^ xm) | ym
-                    if pb in found:
-                        continue
-                    qb = (seed.Q.bits ^ ym) | xm
-                    if is_split_partition(g, p, q, pb, qb, co_rows):
-                        found[pb] = qb
+    full = (1 << g.n) - 1
     return [
-        SplitPartition(p, q, VertexSet(pb, g.n), VertexSet(qb, g.n))
-        for pb, qb in sorted(found.items())
+        SplitPartition(p, q, VertexSet(full ^ qb, g.n), VertexSet(qb, g.n))
+        for qb in _exchanges(g.rows, co_rows, p, q, seed.P.bits, seed.Q.bits, forced_p)
     ]

@@ -163,15 +163,16 @@ def _side_ok(g: Graph, members: tuple[int, ...], clique_side: bool, limit: int) 
 
 def run_split(max_n: int = 8, seed: int = 0) -> dict:
     """Split-partition enumeration against the exhaustive bipartition oracle,
-    plus the pairwise difference and count bounds, on 300 seeded graphs."""
+    plus the pairwise difference and count bounds, on 300 seeded graphs
+    with p and q in 1..3."""
     rng = random.Random(seed)
     failures = []
     ran = 0
     for _ in range(300):
         ran += 1
         n = rng.randint(0, max_n)
-        p = rng.randint(1, 2)
-        q = rng.randint(1, 2)
+        p = rng.randint(1, 3)
+        q = rng.randint(1, 3)
         g = random_graph(rng, n)
         expected = []
         for bits in range(1 << n):

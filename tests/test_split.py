@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subcomp.errors import InvalidArgs, InvalidSeed
-from subcomp.graphs import Graph, PatternSpec, VertexSet, make_pattern
+from subcomp.graphs import Graph, PatternSpec, VertexSet, complement, induced, make_pattern
+from subcomp.solvers import _region_masks
 from subcomp.split import (
     RamseyBound,
     SplitPartition,
@@ -16,6 +17,7 @@ from subcomp.split import (
     find_split_partition,
     is_split_partition,
     ramsey_bound,
+    region_q_sides,
 )
 from subcomp.verify import all_graphs, random_graph
 
@@ -57,6 +59,34 @@ def oracle_partitions(g, p, q):
         if clique_free(pv, p + 1) and independent_free(qv, q + 1):
             out.append(pb)
     return sorted(out)
+
+
+def _exchange_sweep(g, p, q, seed, forced_p=0):
+    """What enumerate_split_partitions did before its exchanges were grown
+    by pruned search: sweep every X ⊆ P and Y ⊆ Q below the Ramsey bound
+    and validate each candidate from scratch. Q sides, sorted by P side."""
+    co_rows = complement(g).rows
+    bound = ramsey_bound(p + 1, q + 1).value
+    must = seed.Q.bits & forced_p
+    y_room = bound - 1 - must.bit_count()
+    if y_room < 0:
+        return []
+    pmem = VertexSet(seed.P.bits & ~forced_p, g.n).members()
+    qmem = VertexSet(seed.Q.bits & ~forced_p, g.n).members()
+    found = {}
+    for xs in range(min(bound - 1, len(pmem)) + 1):
+        for x_combo in itertools.combinations(pmem, xs):
+            xm = sum(1 << v for v in x_combo)
+            for ys in range(min(y_room, len(qmem)) + 1):
+                for y_combo in itertools.combinations(qmem, ys):
+                    ym = must | sum(1 << v for v in y_combo)
+                    pb = (seed.P.bits ^ xm) | ym
+                    if pb in found:
+                        continue
+                    qb = (seed.Q.bits ^ ym) | xm
+                    if is_split_partition(g, p, q, pb, qb, co_rows):
+                        found[pb] = qb
+    return [qb for _, qb in sorted(found.items())]
 
 
 class TestRamseyBound:
@@ -197,7 +227,7 @@ class TestEnumerate:
         with pytest.raises(InvalidSeed):
             enumerate_split_partitions(p3, 1, 1, fake)
 
-    @given(graphs(), st.integers(1, 2), st.integers(1, 2))
+    @given(graphs(), st.integers(1, 3), st.integers(1, 3))
     @settings(max_examples=200, deadline=None)
     def test_complete_against_oracle(self, g, p, q):
         valid = oracle_partitions(g, p, q)
@@ -211,7 +241,7 @@ class TestEnumerate:
             assert sp.P.bits | sp.Q.bits == (1 << g.n) - 1
             assert sp.P.bits & sp.Q.bits == 0
 
-    @given(graphs(), st.integers(1, 2), st.integers(1, 2))
+    @given(graphs(), st.integers(1, 3), st.integers(1, 3))
     @settings(max_examples=150, deadline=None)
     def test_pairwise_difference_bound(self, g, p, q):
         seed = find_split_partition(g, p, q)
@@ -255,6 +285,42 @@ class TestEnumerate:
             seed = SplitPartition(p, q, VertexSet(pb, g.n), VertexSet(full ^ pb, g.n))
             check(g, p, q, seed, rng.getrandbits(g.n) & rng.getrandbits(g.n))
             checked += 1
+
+    def test_region_core_matches_sweep(self):
+        """region_q_sides equals the old exchange sweep: on every graph with
+        n <= 4, for every forced set and (p, q) in {1, 2, 3}^2, and on the
+        four regions of a random pair u < v on each of 300 seeded hosts with n = 8-12 in
+        the solver's calling shape (forced = region ∩ {0..v-1}), against the
+        sweep on the induced region mapped back to host indices."""
+        for n in range(5):
+            full = (1 << n) - 1
+            for g in all_graphs(n):
+                co_rows = complement(g).rows
+                for p, q in itertools.product((1, 2, 3), repeat=2):
+                    seed = find_split_partition(g, p, q)
+                    for forced in range(1 << n):
+                        got = region_q_sides(g.rows, co_rows, full, p, q, forced)
+                        want = [] if seed is None else _exchange_sweep(g, p, q, seed, forced)
+                        assert got == want, (g.rows, p, q, forced)
+        rng = random.Random(9)
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(8, 12))
+            co_rows = complement(g).rows
+            u, v = sorted(rng.sample(range(g.n), 2))
+            t = rng.randint(2, 4)
+            lo, hi = max(t - 2, 1), t - 1
+            for mask, (p, q) in zip(_region_masks(g, u, v), ((lo, hi), (hi, lo), (lo, lo), (lo, lo))):
+                forced = mask & ((1 << v) - 1)
+                got = region_q_sides(g.rows, co_rows, mask, p, q, forced)
+                verts = VertexSet(mask, g.n).members()
+                sub = induced(g, VertexSet(mask, g.n))
+                seed = find_split_partition(sub, p, q)
+                want = []
+                if seed is not None:
+                    local = (1 << (mask & ((1 << v) - 1)).bit_count()) - 1
+                    for qb in _exchange_sweep(sub, p, q, seed, local):
+                        want.append(sum(1 << verts[j] for j in VertexSet(qb, sub.n).members()))
+                assert got == want, (g.rows, u, v, mask, p, q)
 
     def test_enumeration_is_seed_independent(self):
         # growing from any valid partition must reach the same set

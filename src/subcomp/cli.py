@@ -292,9 +292,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+_parser: Optional[_Parser] = None  # built by the first main() call, not at import
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except SubcompError as exc:

@@ -313,30 +313,6 @@ def no_instance(h: Graph) -> Graph:
     return cross_product(complement(h), h)
 
 
-class InducedCopy(Frozen):
-    """Witness of an induced copy: mapping[i] is the host vertex playing
-    pattern vertex i."""
-
-    __slots__ = ("mapping", "cap")
-
-    def __init__(self, mapping: tuple[int, ...], cap: int):
-        object.__setattr__(self, "mapping", tuple(mapping))
-        object.__setattr__(self, "cap", cap)
-
-    @property
-    def vertices(self) -> VertexSet:
-        return VertexSet.from_members(self.mapping, self.cap)
-
-    def __repr__(self) -> str:
-        return f"InducedCopy({self.mapping})"
-
-
-def find_induced(g: Graph, h: Graph) -> Optional[InducedCopy]:
-    """Lexicographically least induced embedding of h into g, or None."""
-    got = Pattern(h).embed(g.rows)
-    return InducedCopy(got, g.n) if got is not None else None
-
-
 def is_pattern_free(g: Graph, h: Graph | Pattern) -> bool:
     """True iff g contains no induced copy of h.
 
@@ -352,7 +328,7 @@ def is_pattern_free(g: Graph, h: Graph | Pattern) -> bool:
     pattern = h if isinstance(h, Pattern) else Pattern(h)
     rows = g.rows
     if not pattern.prime:
-        return pattern.embed(rows, True) is None
+        return pattern.embed(rows) is None
     hn = pattern.graph.n
     stack = [(1 << g.n) - 1] if g.n >= hn else []
     while stack:
@@ -363,7 +339,7 @@ def is_pattern_free(g: Graph, h: Graph | Pattern) -> bool:
             quotient |= module & -module
             if module.bit_count() >= hn:
                 stack.append(module)
-        if pattern.embed(rows, True, quotient) is not None:
+        if pattern.embed(rows, within=quotient) is not None:
             return False
     return True
 
@@ -391,19 +367,6 @@ def degeneracy(g: Graph) -> int:
             k = best_d
         remaining ^= 1 << best_v
     return k
-
-
-def all_adjacent(g: Graph, a: VertexSet, b: VertexSet) -> bool:
-    """True iff every vertex of a is adjacent to every vertex of b
-    (the sets must be disjoint for the question to make sense)."""
-    if a.cap != g.n or b.cap != g.n:
-        raise CapMismatch("vertex sets must index this graph")
-    if a.bits & b.bits:
-        return False
-    for v in a.members():
-        if (g.rows[v] & b.bits) != b.bits:
-            return False
-    return True
 
 
 def is_module(g: Graph, s: VertexSet) -> bool:

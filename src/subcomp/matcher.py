@@ -5,7 +5,8 @@ filters a host vertex must pass to play each pattern vertex,
 symmetry-breaking constraints from the pattern's automorphisms, and whether
 the pattern is prime. The search is a depth-first walk over bitmask domains
 on an explicit stack. `modules_avoiding` splits a host into modules, which a
-decision for a prime pattern can skip.
+decision for a prime pattern can skip. `least_clique` is the one clique
+search the split core and the K_t solver share.
 """
 
 from __future__ import annotations
@@ -89,6 +90,31 @@ def _search(steps, later, rows, doms, budget=-1):
             j += 1
             cands[j] = nxt[0]
             stack[j] = nxt[1:]
+
+
+def least_clique(rows, within: int, size: int) -> Optional[int]:
+    """The lexicographically least clique of the given size inside the mask
+    `within`, in ascending vertex order, as a bitmask, or None. size=0 finds
+    the empty clique. Recursion goes one level per clique vertex."""
+    if size == 0:
+        return 0
+    if size == 1:
+        return (within & -within) or None
+
+    def grow(chosen: int, count: int, cand: int) -> Optional[int]:
+        if count == size:
+            return chosen
+        if count + cand.bit_count() < size:
+            return None
+        while cand:
+            vbit = cand & -cand
+            cand ^= vbit
+            got = grow(chosen | vbit, count + 1, cand & rows[vbit.bit_length() - 1])
+            if got is not None:
+                return got
+        return None
+
+    return grow(0, 0, within)
 
 
 def _members(mask: int) -> list[int]:
@@ -333,23 +359,15 @@ class Pattern(Frozen):
             object.__setattr__(self, "_prime", _is_prime(self.graph.rows, self._twin_masks()))
         return self._prime
 
-    @property
-    def vertex_transitive(self) -> bool:
-        """The orbit found for vertex 0 is every vertex (a capped search may
-        miss it on a large pattern)."""
-        return self._constraints()[0] == (1 << self.graph.n) - 2
-
-    def embed(
-        self, rows, once: bool = False, within: Optional[int] = None
-    ) -> Optional[tuple[int, ...]]:
+    def embed(self, rows, *, within: Optional[int] = None) -> Optional[tuple[int, ...]]:
         """An induced embedding of the pattern into the host graph with
         adjacency bitrows `rows`, or None; with within, into the host's
         induced subgraph on that mask.
 
-        By default the lexicographically least one. With once, only
-        embeddings that satisfy the orbit constraints count: one per induced
-        copy (at least one where the work cap cut the constraints short),
-        which is all a decision or a witness needs."""
+        Only embeddings that satisfy the orbit constraints count, one per
+        induced copy (at least one where the work cap cut the constraints
+        short), which is all a decision or a witness needs; the search
+        returns the lexicographically least of them."""
         gn = len(rows) if within is None else within.bit_count()
         if self.graph.n > gn:
             return None
@@ -371,4 +389,4 @@ class Pattern(Frozen):
             need_masks.append(m)
         later = self._constraints()
         doms = [need_masks[i] for i in self._need_of]
-        return _search(self._steps, later if once else (), rows, doms)[0]
+        return _search(self._steps, later, rows, doms)[0]

@@ -87,9 +87,6 @@ class Assignment(Frozen):
         """Truth value of variable `var` (1-based, as in literals)."""
         return self.values[var - 1]
 
-    def to_json(self) -> dict:
-        return {"values": list(self.values)}
-
     def __repr__(self) -> str:
         return f"Assignment({''.join('1' if v else '0' for v in self.values)})"
 

@@ -28,7 +28,7 @@ from .graphs import (
     make_pattern,
     subgraph_complement,
 )
-from .matcher import Pattern
+from .matcher import Pattern, least_clique
 from .split import region_q_sides
 from .values import Frozen
 
@@ -84,6 +84,19 @@ class SolveReport(Frozen):
         return f"SolveReport({self.status})"
 
 
+def _report(status, solution, start, examined, calls, pairs=0, pruned=0) -> SolveReport:
+    """A solver's report; the stats keys and their order are part of the
+    solve-report JSON."""
+    stats = {
+        "subsets_examined": examined,
+        "pairs_examined": pairs,
+        "pairs_pruned": pruned,
+        "recognizer_calls": calls,
+        "elapsed": time.perf_counter() - start,
+    }
+    return SolveReport(status, solution, stats, solution is not None)
+
+
 WINDOW = 12  # low vertices whose 2^WINDOW value combinations share one bitmap
 _LOW_MASKS: dict = {}
 
@@ -137,22 +150,13 @@ def brute_solve(g: Graph, h: Graph | Pattern, cap: int = DEFAULT_SUBSET_CAP) -> 
         raise PatternTooSmall("forbidden pattern must have at least one vertex")
     else:
         pattern = Pattern(h)
-    examined = 0
-    searches = 0
-
-    def report(status, solution=None):
-        stats = {
-            "subsets_examined": examined,
-            "pairs_examined": 0,
-            "pairs_pruned": 0,
-            "recognizer_calls": searches,
-            "elapsed": time.perf_counter() - start,
-        }
-        return SolveReport(status, solution, stats, solution is not None)
-
     if pattern.graph.n == 1:
         # only the null graph avoids an induced single vertex
-        return report(YES, VertexSet.empty(0)) if g.n == 0 else report(NO)
+        if g.n == 0:
+            return _report(YES, VertexSet.empty(0), start, 0, 0)
+        return _report(NO, None, start, 0, 0)
+    examined = 0
+    searches = 0
     n, rows = g.n, g.rows
     cap = max(cap, 0)
     low = min(WINDOW, n)
@@ -184,7 +188,7 @@ def brute_solve(g: Graph, h: Graph | Pattern, cap: int = DEFAULT_SUBSET_CAP) -> 
             row ^ mask ^ (1 << v) if (mask >> v) & 1 else row
             for v, row in enumerate(rows)
         ]
-        copy = pattern.embed(flipped, True)
+        copy = pattern.embed(flipped)
         if copy is None:
             return None
         w = 0
@@ -248,13 +252,12 @@ def brute_solve(g: Graph, h: Graph | Pattern, cap: int = DEFAULT_SUBSET_CAP) -> 
                     witness = record(mask)
                     if witness is None:
                         examined = index
-                        return report(YES, VertexSet(mask, n))
+                        return _report(YES, VertexSet(mask, n), start, examined, searches)
                     free &= ~rejected(witness, block, one_left)
                 examined += block.bit_count()
             if examined > cap:
-                examined = cap
-                return report(UNKNOWN)
-    return report(NO)
+                return _report(UNKNOWN, None, start, cap, searches)
+    return _report(NO, None, start, examined, searches)
 
 
 def kt_free_recognizer(t: int) -> Callable[[Graph], bool]:
@@ -363,28 +366,18 @@ def solve_kt_free(
             return got
 
     start = time.perf_counter()
+    calls = 1  # step 0
+    if custom(g) if custom is not None else is_pattern_free(g, kt):
+        return _report(YES, VertexSet.empty(g.n), start, 0, calls)
+    if t == 1:
+        # K_1-free means null; complementing never removes vertices
+        return _report(NO, None, start, 0, calls)
     pairs = 0
     pruned = 0
     examined = 0
-    calls = 1  # step 0
-
-    def report(status, solution=None):
-        stats = {
-            "subsets_examined": examined,
-            "pairs_examined": pairs,
-            "pairs_pruned": pruned,
-            "recognizer_calls": calls,
-            "elapsed": time.perf_counter() - start,
-        }
-        return SolveReport(status, solution, stats, solution is not None)
-
-    if custom(g) if custom is not None else is_pattern_free(g, kt):
-        return report(YES, VertexSet.empty(g.n))
-    if t == 1:
-        # K_1-free means null; complementing never removes vertices
-        return report(NO)
 
     n, rows = g.n, g.rows
+    full = (1 << n) - 1
     co_rows = complement(g).rows
     memo = {}
     cap = max(cap, 0)
@@ -403,11 +396,10 @@ def solve_kt_free(
                 probe = list(rows)
                 probe[u] ^= 1 << v
                 probe[v] ^= 1 << u
-                copy = kt.embed(probe, True, low)
-                if copy is None:
+                w = least_clique(probe, low, t)
+                if w is None:
                     lists = _region_lists(g, u, v, params, co_rows, memo)
                 else:
-                    w = sum(1 << x for x in copy)
                     witnesses.append((w, uv & w))
             if lists is None:
                 pruned += 1
@@ -441,17 +433,17 @@ def solve_kt_free(
                     continue
                 else:
                     if examined >= cap:
-                        return report(UNKNOWN)
+                        return _report(UNKNOWN, None, start, examined, calls, pairs, pruned)
                     examined += 1
                     flipped = subgraph_complement(g, VertexSet(s, n))
-                    copy = kt.embed(flipped.rows, True)
-                    if copy is None:
+                    w = least_clique(flipped.rows, full, t)
+                    if w is None:
                         calls += 1
                         if custom is None or custom(flipped):
-                            return report(YES, VertexSet(s, n))
+                            return _report(YES, VertexSet(s, n), start, examined, calls,
+                                           pairs, pruned)
                         continue
                     calls += custom is None  # that search is the default recognizer
-                    w = sum(1 << x for x in copy)
                     level = _first_inside(w, decided)
                     cuts[level].append((w, s & w))
                     witnesses.append((w, s & w))
@@ -461,9 +453,8 @@ def solve_kt_free(
                         index[j] = -1
                     i = level - 1
                 if examined > cap:
-                    examined = cap
-                    return report(UNKNOWN)
-    return report(NO)
+                    return _report(UNKNOWN, None, start, cap, calls, pairs, pruned)
+    return _report(NO, None, start, examined, calls, pairs, pruned)
 
 
 def solve_complement_class(

@@ -20,6 +20,7 @@ from typing import Optional
 
 from .errors import InvalidArgs, InvalidSeed
 from .graphs import Graph, VertexSet, complement
+from .matcher import least_clique
 from .values import Frozen
 
 
@@ -65,30 +66,6 @@ def ramsey_bound(p: int, q: int) -> RamseyBound:
     return RamseyBound(p, q, comb(p + q - 2, p - 1), False)
 
 
-def _least_clique(rows, within: int, size: int) -> Optional[int]:
-    """First clique of the given size inside the mask `within` in ascending
-    vertex order, as a bitmask, or None. size=0 finds the empty clique."""
-    if size == 0:
-        return 0
-    if size == 1:
-        return (within & -within) or None
-
-    def grow(chosen: int, count: int, cand: int) -> Optional[int]:
-        if count == size:
-            return chosen
-        if count + cand.bit_count() < size:
-            return None
-        while cand:
-            vbit = cand & -cand
-            cand ^= vbit
-            got = grow(chosen | vbit, count + 1, cand & rows[vbit.bit_length() - 1])
-            if got is not None:
-                return got
-        return None
-
-    return grow(0, 0, within)
-
-
 class SplitPartition(Frozen):
     """A concrete (p, q)-split partition of some graph."""
 
@@ -99,14 +76,6 @@ class SplitPartition(Frozen):
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "Q", Q)
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "q": self.q,
-            "P": list(self.P.members()),
-            "Q": list(self.Q.members()),
-        }
 
     def __repr__(self) -> str:
         return f"SplitPartition(p={self.p}, q={self.q}, P={set(self.P.members()) or '{}'}, Q={set(self.Q.members()) or '{}'})"
@@ -121,11 +90,11 @@ def is_split_partition(
     full = (1 << g.n) - 1
     if (pbits | qbits) != full or (pbits & qbits):
         return False
-    if _least_clique(g.rows, pbits, p + 1) is not None:
+    if least_clique(g.rows, pbits, p + 1) is not None:
         return False
     if co_rows is None:
         co_rows = complement(g).rows
-    return _least_clique(co_rows, qbits, q + 1) is None
+    return least_clique(co_rows, qbits, q + 1) is None
 
 
 def _clique_through(rows, within: int, size: int, through: int) -> bool:
@@ -135,7 +104,7 @@ def _clique_through(rows, within: int, size: int, through: int) -> bool:
     while through:
         vbit = through & -through
         through ^= vbit
-        if _least_clique(rows, within & rows[vbit.bit_length() - 1], size - 1) is not None:
+        if least_clique(rows, within & rows[vbit.bit_length() - 1], size - 1) is not None:
             return True
         within &= ~vbit
     return False
@@ -153,7 +122,7 @@ def _grow(rows, base: int, cand: int, size: int) -> list[int]:
         while cand:
             vbit = cand & -cand
             cand ^= vbit
-            if _least_clique(rows, got & rows[vbit.bit_length() - 1], size) is None:
+            if least_clique(rows, got & rows[vbit.bit_length() - 1], size) is None:
                 out.append(got | vbit)
                 stack.append((got | vbit, cand))
     return out
@@ -177,9 +146,9 @@ def _seed_q(rows, co_rows, region: int, p: int, q: int) -> Optional[int]:
         if qbits in seen:
             continue
         seen.add(qbits)
-        if _least_clique(co_rows, qbits, q + 1) is not None:
+        if least_clique(co_rows, qbits, q + 1) is not None:
             continue
-        clique = _least_clique(rows, region & ~qbits, p + 1)
+        clique = least_clique(rows, region & ~qbits, p + 1)
         if clique is None:
             return qbits
         branches = []

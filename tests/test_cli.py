@@ -14,6 +14,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from subcomp import cli
 from subcomp.cli import main, parse_pattern_token
 from subcomp.graphs import (
     PatternSpec,
@@ -406,3 +407,36 @@ def test_import_does_not_load_dataclasses():
     code = "import sys, subcomp.cli; assert 'dataclasses' not in sys.modules"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_parser_is_built_once(tmp_path, capsys, monkeypatch):
+    # main() builds the argparse parser on its first call and reuses it;
+    # a usage error in between leaves it fit for the next call
+    builds = []
+    build = cli.build_parser
+
+    def counting():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    monkeypatch.setattr(cli, "_parser", None)
+    solve = ["solve", "--target", "kt-bar", "-t", "2", write_g6(tmp_path, P3_G6)]
+
+    def report():
+        doc = last_json(capsys)
+        del doc["stats"]["elapsed"]
+        return doc
+
+    assert main(solve) == 0
+    first = report()
+    assert first["solution"]
+    assert main(["verify", "split", "--max-n", "5"]) == 0
+    assert last_json(capsys)["passed"]
+    with pytest.raises(SystemExit) as excinfo:
+        main(["solve", "--target", "kq", "-t", "2", solve[-1]])
+    assert excinfo.value.code == 64
+    assert "invalid choice" in capsys.readouterr().err
+    assert main(solve) == 0
+    assert report() == first
+    assert len(builds) == 1

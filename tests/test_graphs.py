@@ -14,16 +14,13 @@ from subcomp import matcher
 from subcomp.graphs import (
     MAX_JSON_VERTICES,
     Graph,
-    InducedCopy,
     Pattern,
     PatternSpec,
     VertexSet,
-    all_adjacent,
     complement,
     cross_product,
     degeneracy,
     disjoint_union,
-    find_induced,
     g6_decode,
     g6_encode,
     graph_from_edges,
@@ -249,42 +246,50 @@ class TestCombinators:
 
 
 class TestFindInduced:
+    """Pattern.embed and is_pattern_free find induced copies."""
+
     def test_returns_least_embedding(self):
-        # P3 in P4: (0,1,2) is the lexicographically least of the embeddings
+        # P3 in P4: (0,1,2) is the least embedding that puts the first
+        # endpoint below the second, the orbit constraint of P3
         p4 = make_pattern(PatternSpec.path(4))
         p3 = make_pattern(PatternSpec.path(3))
-        copy = find_induced(p4, p3)
-        assert copy.mapping == (0, 1, 2)
-        assert copy.vertices == VertexSet.from_members([0, 1, 2], 4)
+        assert Pattern(p3).embed(p4.rows) == (0, 1, 2)
 
     def test_absent_when_pattern_missing(self):
         c4 = make_pattern(PatternSpec.cycle(4))
         k3 = make_pattern(PatternSpec.complete(3))
-        assert find_induced(c4, k3) is None
+        assert Pattern(k3).embed(c4.rows) is None
+        assert is_pattern_free(c4, k3)
 
     def test_pattern_larger_than_host(self):
-        assert find_induced(Graph(2, [0, 0]), make_pattern(PatternSpec.path(3))) is None
+        host = Graph(2, [0, 0])
+        p3 = make_pattern(PatternSpec.path(3))
+        assert Pattern(p3).embed(host.rows) is None
+        assert is_pattern_free(host, p3)
 
     def test_rejects_empty_pattern(self):
         with pytest.raises(PatternTooSmall):
-            find_induced(Graph(3, [0, 0, 0]), Graph(0, []))
+            Pattern(Graph(0, []))
+        with pytest.raises(PatternTooSmall):
+            is_pattern_free(Graph(3, [0, 0, 0]), Graph(0, []))
 
     def test_induced_means_induced(self):
         # K3 sits in K4 as a subgraph and as an induced subgraph; P3 only as
         # a non-induced one, so the search must reject it
         k4 = make_pattern(PatternSpec.complete(4))
-        assert find_induced(k4, make_pattern(PatternSpec.complete(3))) is not None
-        assert find_induced(k4, make_pattern(PatternSpec.path(3))) is None
+        k3 = make_pattern(PatternSpec.complete(3))
+        p3 = make_pattern(PatternSpec.path(3))
+        assert Pattern(k3).embed(k4.rows) == (0, 1, 2)
+        assert Pattern(p3).embed(k4.rows) is None
+        assert not is_pattern_free(k4, k3)
+        assert is_pattern_free(k4, p3)
 
     @given(graphs(max_n=8), graphs(max_n=4).filter(lambda h: h.n >= 1))
     @settings(max_examples=300, deadline=None)
     def test_matches_exhaustive_search(self, g, h):
-        copy = find_induced(g, h)
-        all_embeddings = brute_embeddings(g, h)
-        if copy is None:
-            assert all_embeddings == []
-        else:
-            assert copy.mapping == min(all_embeddings)
+        pattern = Pattern(h)
+        kept = [m for m in brute_embeddings(g, h) if satisfies_constraints(pattern, m)]
+        assert pattern.embed(g.rows) == (min(kept) if kept else None)
 
     @given(graphs(max_n=8), graphs(max_n=5).filter(lambda h: h.n >= 1))
     @settings(max_examples=300, deadline=None)
@@ -292,17 +297,51 @@ class TestFindInduced:
         pattern = Pattern(h)
         assert is_pattern_free(g, pattern) == is_pattern_free(g, h)
         assert is_pattern_free(g, h) == (brute_embeddings(g, h) == [])
-        copy = find_induced(g, h)
-        assert pattern.embed(g.rows) == (None if copy is None else copy.mapping)
+        # the quotient decision of a prime pattern agrees with the plain search
+        assert is_pattern_free(g, h) == (pattern.embed(g.rows) is None)
 
     def test_vertex_transitive_flag(self):
+        # the orbit found for vertex 0 is every vertex exactly when the
+        # pattern is vertex-transitive (these are all small enough to search)
         for spec in (PatternSpec.complete(4), PatternSpec.empty(3), PatternSpec.cycle(5),
                      PatternSpec.complement_of(PatternSpec.cycle(6))):
-            assert Pattern(make_pattern(spec)).vertex_transitive
+            h = make_pattern(spec)
+            assert Pattern(h)._constraints()[0] == (1 << h.n) - 2
         for spec in (PatternSpec.path(4), PatternSpec.star(3)):
-            assert not Pattern(make_pattern(spec)).vertex_transitive
-        with pytest.raises(PatternTooSmall):
-            Pattern(Graph(0, []))
+            h = make_pattern(spec)
+            assert Pattern(h)._constraints()[0] != (1 << h.n) - 2
+
+
+class TestLeastClique:
+    """matcher.least_clique against the first clique that
+    itertools.combinations reaches, by brute force."""
+
+    @staticmethod
+    def check(g, withins):
+        n, rows = g.n, g.rows
+        for within in withins:
+            members = [v for v in range(n) if (within >> v) & 1]
+            for size in range(n + 2):
+                want = next(
+                    (sum(1 << v for v in c) for c in itertools.combinations(members, size)
+                     if all(rows[a] >> b & 1 for a, b in itertools.combinations(c, 2))),
+                    None,
+                )
+                assert matcher.least_clique(rows, within, size) == want, (rows, within, size)
+
+    def test_every_graph_and_mask_up_to_five(self):
+        for n in range(6):
+            for g in all_graphs(n):
+                self.check(g, range(1 << n))
+
+    def test_six_vertices(self):
+        # every graph on six vertices in the whole mask, and every mask on a
+        # seeded sample: every mask of every graph is about 17M checks, 40 s
+        for g in all_graphs(6):
+            self.check(g, [63])
+        rng = random.Random(6)
+        for _ in range(60):
+            self.check(random_graph(rng, 6), range(64))
 
 
 def satisfies_constraints(pattern, mapping):
@@ -350,7 +389,7 @@ class TestOrbitConstraints:
                 kept = [m for m in every if satisfies_constraints(pattern, m)]
                 assert len(kept) * order == len(every)
                 # the decision search returns the least embedding it keeps
-                assert pattern.embed(g.rows, True) == (min(kept) if kept else None)
+                assert pattern.embed(g.rows) == (min(kept) if kept else None)
 
     @pytest.mark.parametrize("work", [1, 12, 30, 64, 150])
     def test_capped_constraints_stay_sound(self, monkeypatch, work):
@@ -384,7 +423,7 @@ class TestOrbitConstraints:
         assert is_pattern_free(make_pattern(PatternSpec.path(1199)), p1200)
         # twins alone settle cliques and stars of any order
         k300 = Pattern(make_pattern(PatternSpec.complete(300)))
-        assert k300.vertex_transitive
+        assert k300._constraints()[0] == (1 << 300) - 2
         assert k300._constraints()[1] == (1 << 300) - 4
         star = Pattern(make_pattern(PatternSpec.star(400)))
         assert star._constraints()[:2] == (0, (1 << 401) - 4)
@@ -494,7 +533,7 @@ class TestModularQuotient:
         for _ in range(180):
             g = substituted(rng, pattern.graph, 1)
             free = is_pattern_free(g, pattern)
-            assert free == (pattern.embed(g.rows, True) is None), g.rows
+            assert free == (pattern.embed(g.rows) is None), g.rows
             answers.add(free)
         assert answers == {True, False}
 
@@ -550,18 +589,6 @@ class TestDegeneracy:
 
 
 class TestHelpers:
-    def test_all_adjacent(self):
-        k4 = make_pattern(PatternSpec.complete(4))
-        a = VertexSet.from_members([0, 1], 4)
-        b = VertexSet.from_members([2, 3], 4)
-        assert all_adjacent(k4, a, b)
-        p4 = make_pattern(PatternSpec.path(4))
-        assert not all_adjacent(p4, a, b)
-
-    def test_all_adjacent_requires_disjoint(self):
-        k3 = make_pattern(PatternSpec.complete(3))
-        assert not all_adjacent(k3, VertexSet(0b011, 3), VertexSet(0b110, 3))
-
     def test_is_module(self):
         # in K_{1,3} the leaves form a module, a leaf-plus-center does not
         star = make_pattern(PatternSpec.star(3))
@@ -694,12 +721,31 @@ class TestJson:
         assert graph_from_json('{"n": 1, "edges": [], "labels": null}').labels is None
 
 
+def test_public_surface():
+    # every export resolves; the removed names stay removed
+    import subcomp
+    from subcomp import split
+
+    for name in subcomp.__all__:
+        assert getattr(subcomp, name) is not None, name
+    for name in ("find_induced", "InducedCopy", "all_adjacent"):
+        assert name not in subcomp.__all__
+        assert not hasattr(subcomp, name)
+    assert not hasattr(Pattern, "vertex_transitive")
+    assert not hasattr(SplitPartition, "to_json")
+    assert not hasattr(Assignment, "to_json")
+    assert split.least_clique is matcher.least_clique
+    # within is keyword-only: a stale embed(rows, True) must not read as within=1
+    k3 = make_pattern(PatternSpec.complete(3))
+    with pytest.raises(TypeError):
+        Pattern(k3).embed(k3.rows, True)
+
+
 _VS = VertexSet.from_members([0], 2)
 _VALUE_MAKERS = {
     "Graph": lambda: graph_from_edges(2, [(0, 1)]),
     "VertexSet": lambda: VertexSet.from_members([0], 2),
     "PatternSpec": lambda: PatternSpec.complement_of(PatternSpec.path(4)),
-    "InducedCopy": lambda: InducedCopy((1, 0), 2),
     "Pattern": lambda: Pattern(make_pattern(PatternSpec.path(3))),
     "RamseyBound": lambda: RamseyBound(3, 3, 6, True),
     "SplitPartition": lambda: SplitPartition(1, 1, _VS, VertexSet(0b10, 2)),

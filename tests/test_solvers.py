@@ -16,7 +16,6 @@ from subcomp.graphs import (
     VertexSet,
     complement,
     degeneracy,
-    find_induced,
     induced,
     is_pattern_free,
     make_pattern,
@@ -234,9 +233,9 @@ class TestBruteSolve:
         searches = []
         embed = Pattern.embed
 
-        def counting(self, rows, root_is_min=False):
+        def counting(self, rows, **kwargs):
             searches.append(rows)
-            return embed(self, rows, root_is_min)
+            return embed(self, rows, **kwargs)
 
         monkeypatch.setattr(Pattern, "embed", counting)
         for g, h in ((make_pattern(PatternSpec.complete(4)), K3), (no_instance(P3), P3)):

@@ -333,8 +333,3 @@ class TestEnumerate:
             results.append([sp.P.bits for sp in enumerate_split_partitions(g, 1, 2, seed)])
         assert all(r == results[0] for r in results)
         assert results[0] == seeds
-
-    def test_json_shape(self):
-        p3 = make_pattern(PatternSpec.path(3))
-        sp = find_split_partition(p3, 1, 1)
-        assert sp.to_json() == {"p": 1, "q": 1, "P": [2], "Q": [0, 1]}

@@ -9,6 +9,7 @@ that.
 
 from __future__ import annotations
 
+import binascii
 import json
 from typing import Iterable, Iterator, Optional
 
@@ -19,7 +20,7 @@ from .errors import (
     NullGraph,
     PatternTooSmall,
 )
-from .matcher import Pattern, modules_avoiding
+from .matcher import Pattern, _twin_classes, least_clique, modules_avoiding
 from .values import Frozen
 
 
@@ -319,18 +320,68 @@ def is_pattern_free(g: Graph, h: Graph | Pattern) -> bool:
     h may be a Pattern prepared once for repeated tests. Decision only, so
     the search reaches each induced copy through one embedding.
 
+    A pattern with a universal vertex c is peeled: g holds a copy iff, for
+    some vertex v, g[N(v)] holds a copy of h - c (v plays c). For an
+    isolated c the same holds with the non-neighbours of v. Peeling repeats
+    on h - c inside that mask, on an explicit stack, and a clique or an
+    independent set left at the end is one clique search, on the rows or on
+    the complement's rows. Swapping two twins of g is an automorphism, so
+    the first peel tries one vertex per twin class.
+    """
+    pattern = h if isinstance(h, Pattern) else Pattern(h)
+    rows = g.rows
+    full = (1 << g.n) - 1
+    plan = pattern.peel
+    if plan is None:
+        return _free_within(rows, pattern, full)
+    sides, kind, rest = plan
+    hn = pattern.graph.n
+    if g.n < hn:
+        return True
+    co_rows = None
+    stack = [(0, full)]
+    while stack:
+        depth, mask = stack.pop()
+        if depth == len(sides):
+            if kind == "pattern":
+                found = not _free_within(rows, rest, mask)
+            elif kind == "clique":
+                found = least_clique(rows, mask, rest) is not None
+            else:
+                if co_rows is None:
+                    co_rows = [full ^ row ^ 1 << v for v, row in enumerate(rows)]
+                found = least_clique(co_rows, mask, rest) is not None
+            if found:
+                return False
+            continue
+        need = hn - 1 - depth
+        near = sides[depth]
+        walk = mask if depth else sum(
+            1 << v for v, t in enumerate(_twin_classes(rows)) if t & -t == 1 << v)
+        while walk:
+            vbit = walk & -walk
+            walk ^= vbit
+            row = rows[vbit.bit_length() - 1]
+            inner = mask & row if near else mask & ~(row | vbit)
+            if inner.bit_count() >= need:
+                stack.append((depth + 1, inner))
+    return True
+
+
+def _free_within(rows, pattern: Pattern, within: int) -> bool:
+    """True iff the host's induced subgraph on the mask within holds no
+    induced copy of the pattern.
+
     A prime pattern is decided on modular quotients, on an explicit stack.
     A copy meets each module of its host in at most one vertex or lies
     inside it; so with v the lowest vertex of a part of the host, the part
     holds a copy iff one of its maximal modules avoiding v does, or the
     quotient does: v plus the lowest vertex of each such module.
     """
-    pattern = h if isinstance(h, Pattern) else Pattern(h)
-    rows = g.rows
     if not pattern.prime:
-        return pattern.embed(rows) is None
+        return pattern.embed(rows, within=within) is None
     hn = pattern.graph.n
-    stack = [(1 << g.n) - 1] if g.n >= hn else []
+    stack = [within] if within.bit_count() >= hn else []
     while stack:
         part = stack.pop()
         v = (part & -part).bit_length() - 1
@@ -400,22 +451,23 @@ def _g6_size_bytes(n: int) -> bytes:
     raise ValueError("graph too large for graph6")
 
 
+# base64 writes each 6-bit group as a letter of its alphabet; graph6 writes
+# group i as the byte 63 + i
+_B64_TO_G6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127))
+)
+
+
 def g6_encode(g: Graph) -> bytes:
-    out = bytearray(_g6_size_bytes(g.n))
-    acc = 0
-    nbits = 0
-    for v in range(1, g.n):
-        col = g.rows[v]
-        for u in range(v):
-            acc = (acc << 1) | ((col >> u) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(acc + 63)
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append((acc << (6 - nbits)) + 63)
-    return bytes(out)
+    """Each column's bits as a string, lowest row first; the whole bit
+    string, zero-padded to whole bytes of three groups, is cut into 6-bit
+    groups by base64."""
+    bits = "".join(format(g.rows[v] & ((1 << v) - 1), f"0{v}b")[::-1] for v in range(1, g.n))
+    ngroups = (len(bits) + 5) // 6
+    bits += "0" * (-len(bits) % 24)
+    packed = int(bits, 2).to_bytes(len(bits) // 8, "big") if bits else b""
+    groups = binascii.b2a_base64(packed, newline=False).translate(_B64_TO_G6)
+    return _g6_size_bytes(g.n) + groups[:ngroups]
 
 
 def g6_decode(data: bytes) -> Graph:

@@ -3,10 +3,11 @@
 A Pattern holds what the search needs from the pattern alone: the degree
 filters a host vertex must pass to play each pattern vertex,
 symmetry-breaking constraints from the pattern's automorphisms, and whether
-the pattern is prime. The search is a depth-first walk over bitmask domains
-on an explicit stack. `modules_avoiding` splits a host into modules, which a
+the pattern is prime, and the plan for peeling its universal and isolated
+vertices. The search is a depth-first walk over bitmask domains on an
+explicit stack. `modules_avoiding` splits a host into modules, which a
 decision for a prime pattern can skip. `least_clique` is the one clique
-search the split core and the K_t solver share.
+search the split core, the K_t solver and a peeled decision share.
 """
 
 from __future__ import annotations
@@ -26,6 +27,11 @@ if TYPE_CHECKING:
 # pattern order. Patterns too large for one search to finish within it keep
 # only the constraints their twins give.
 _ORBIT_WORK = 1 << 16
+
+# Largest pattern order a decision peels. The clique search that closes a
+# peel recurses once per vertex of what is left, at most the pattern's
+# order; larger patterns keep the plain search on its explicit stack.
+_PEEL_ORDER = 400
 
 
 def _selectors(rows, later) -> tuple[bytes, ...]:
@@ -307,6 +313,41 @@ def _closure(orbit: int, gens, twins, keep: int) -> int:
     return orbit
 
 
+def _peel_plan(h: Graph):
+    """How to peel the pattern h down to a base case, or None when h has
+    neither a universal nor an isolated vertex, or is too large to peel.
+
+    The plan is (sides, kind, rest). sides[i] is True when the i-th peeled
+    vertex sees every vertex left at its step, False when it sees none. The
+    vertices left after the last step form a clique of order rest
+    (kind "clique"), an independent set of order rest ("coclique"), or the
+    Pattern rest, which has neither kind of vertex ("pattern")."""
+    if h.n > _PEEL_ORDER:
+        return None
+    rows = h.rows
+    left = (1 << h.n) - 1
+    sides = []
+    while True:
+        k = left.bit_count()
+        deg = {v: (rows[v] & left).bit_count() for v in _members(left)}
+        if all(d == k - 1 for d in deg.values()):
+            return tuple(sides), "clique", k
+        if not any(deg.values()):
+            return tuple(sides), "coclique", k
+        c = next((v for v, d in deg.items() if d in (0, k - 1)), None)
+        if c is None:
+            break
+        sides.append(deg[c] > 0)
+        left ^= 1 << c
+    if not sides:
+        return None
+    from .graphs import Graph
+
+    keep = _members(left)
+    rest = [sum(1 << j for j, w in enumerate(keep) if rows[u] >> w & 1) for u in keep]
+    return tuple(sides), "pattern", Pattern(Graph._unchecked(len(keep), tuple(rest)))
+
+
 class Pattern(Frozen):
     """A pattern graph prepared once for any number of induced searches.
 
@@ -316,12 +357,13 @@ class Pattern(Frozen):
     under which a freeness test reaches each induced copy through one
     embedding. The constraints and the search's selector table take
     O(h^2) bits, so the first search that needs them builds them; a pattern
-    larger than every host it meets never pays for them. The twin classes
-    and the prime flag are also built on first use. Equality compares the
-    graph alone; the rest derives from it.
+    larger than every host it meets never pays for them. The twin classes,
+    the prime flag and the peel plan are also built on first use. Equality
+    compares the graph alone; the rest derives from it.
     """
 
-    __slots__ = ("graph", "_needs", "_need_of", "_later", "_steps", "_twins", "_prime")
+    __slots__ = ("graph", "_needs", "_need_of", "_later", "_steps", "_twins", "_prime",
+                 "_peel")
 
     def __init__(self, h: Graph):
         if h.n < 1:
@@ -331,7 +373,7 @@ class Pattern(Frozen):
         object.__setattr__(self, "graph", h)
         object.__setattr__(self, "_needs", needs)
         object.__setattr__(self, "_need_of", tuple(needs.index(p) for p in per_vertex))
-        for name in ("_later", "_steps", "_twins", "_prime"):
+        for name in ("_later", "_steps", "_twins", "_prime", "_peel"):
             object.__setattr__(self, name, None)
 
     def _key(self) -> tuple:
@@ -358,6 +400,14 @@ class Pattern(Frozen):
         if self._prime is None:
             object.__setattr__(self, "_prime", _is_prime(self.graph.rows, self._twin_masks()))
         return self._prime
+
+    @property
+    def peel(self):
+        """The plan for peeling universal and isolated vertices, or None
+        (see _peel_plan)."""
+        if self._peel is None:
+            object.__setattr__(self, "_peel", _peel_plan(self.graph) or ())
+        return self._peel or None
 
     def embed(self, rows, *, within: Optional[int] = None) -> Optional[tuple[int, ...]]:
         """An induced embedding of the pattern into the host graph with

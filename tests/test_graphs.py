@@ -560,6 +560,93 @@ class TestModularQuotient:
         assert not is_pattern_free(g, make_pattern(PatternSpec.star(3)))
 
 
+def _wheel(rim):
+    """The hub 0 joined to the cycle 1..rim."""
+    edges = [(0, i) for i in range(1, rim + 1)] + [(i, i % rim + 1) for i in range(1, rim + 1)]
+    return graph_from_edges(rim + 1, edges)
+
+
+def _peelable_shapes():
+    """One graph per isomorphism class with at most five vertices and a
+    universal or isolated vertex, plus W5."""
+    shapes = []
+    for atlas in nx.graph_atlas_g()[1:]:
+        n = atlas.number_of_nodes()
+        if n > 5:
+            break
+        h = graph_from_edges(n, atlas.edges())
+        if any(row.bit_count() in (0, n - 1) for row in h.rows):
+            shapes.append(h)
+    return shapes + [_wheel(5)]
+
+
+def _gnp(rng, n, p):
+    return graph_from_edges(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < p])
+
+
+class TestPeel:
+    """is_pattern_free peels universal and isolated pattern vertices; it
+    must answer as the plain orbit-constrained search does."""
+
+    @staticmethod
+    def answers(hosts, patterns):
+        seen = set()
+        for g in hosts:
+            for pattern in patterns:
+                free = is_pattern_free(g, pattern)
+                assert free == (pattern.embed(g.rows) is None), (g.rows, pattern.graph.rows)
+                seen.add(free)
+        return seen
+
+    def test_shapes(self):
+        shapes = _peelable_shapes()
+        assert len(shapes) == 38
+        assert all(Pattern(h).peel is not None for h in shapes)
+
+    def test_every_small_host(self):
+        patterns = [Pattern(h) for h in _peelable_shapes()]
+        hosts = [g for n in range(6) for g in all_graphs(n)]
+        assert self.answers(hosts, patterns) == {True, False}
+
+    def test_seeded_hosts(self):
+        patterns = [Pattern(h) for h in _peelable_shapes()]
+        rng = random.Random(13)
+        hosts = [_gnp(rng, n, p) for n in range(6, 31) for p in (0.15, 0.5, 0.85)]
+        assert self.answers(hosts, patterns) == {True, False}
+
+    def test_substituted_hosts(self):
+        # full of twins, so the first peel skips most host vertices
+        rng = random.Random(17)
+        seen = set()
+        for h in _peelable_shapes():
+            seen |= self.answers([substituted(rng, h, 1) for _ in range(30)], [Pattern(h)])
+        assert seen == {True, False}
+
+    def test_plans(self):
+        def plan(spec):
+            return Pattern(make_pattern(spec)).peel
+
+        assert plan(PatternSpec.star(5)) == ((True,), "coclique", 5)
+        assert plan(PatternSpec.complement_of(PatternSpec.star(5))) == ((False,), "clique", 5)
+        assert plan(PatternSpec.complete(4)) == ((), "clique", 4)
+        assert plan(PatternSpec.empty(3)) == ((), "coclique", 3)
+        assert plan(PatternSpec.path(4)) is None
+        sides, kind, rest = Pattern(_wheel(5)).peel
+        assert (sides, kind) == ((True,), "pattern")
+        assert rest.graph == make_pattern(PatternSpec.cycle(5)) and rest.prime
+
+    def test_large_patterns_keep_the_explicit_stack(self):
+        # past the peel limit the plain search decides, without recursion
+        star = make_pattern(PatternSpec.star(1000))
+        assert Pattern(star).peel is None
+        assert not is_pattern_free(star, star)
+        co_star = make_pattern(PatternSpec.complement_of(PatternSpec.star(1000)))
+        assert not is_pattern_free(co_star, co_star)
+        k1100 = make_pattern(PatternSpec.complete(1100))
+        assert not is_pattern_free(make_pattern(PatternSpec.complete(1200)), k1100)
+        assert is_pattern_free(make_pattern(PatternSpec.complete(1099)), k1100)
+
+
 class TestDegeneracy:
     def test_null_graph_rejected(self):
         with pytest.raises(NullGraph):
@@ -608,7 +695,36 @@ class TestVertexSet:
             VertexSet(0b100, 2)
 
 
+def g6_encode_bitwise(g):
+    """graph6 one adjacency bit at a time, for n <= 258047: the reference
+    encoder."""
+    n = g.n
+    size = [n] if n <= 62 else [63, n >> 12, n >> 6 & 63, n & 63]
+    out = bytearray(x + 63 for x in size)
+    acc = nbits = 0
+    for v in range(1, g.n):
+        for u in range(v):
+            acc = (acc << 1) | ((g.rows[v] >> u) & 1)
+            nbits += 1
+            if nbits == 6:
+                out.append(acc + 63)
+                acc = nbits = 0
+    if nbits:
+        out.append((acc << (6 - nbits)) + 63)
+    return bytes(out)
+
+
 class TestGraph6:
+    def test_encode_matches_bitwise_reference(self):
+        for n in range(7):
+            for g in all_graphs(n):
+                assert g6_encode(g) == g6_encode_bitwise(g), g.rows
+        rng = random.Random(6)
+        for n in (7, 8, 12, 13, 62, 63, 64, 127, 130, 258, 300, 400):
+            for p in (0.0, 0.1, 0.5, 0.9, 1.0):
+                g = _gnp(rng, n, p)
+                assert g6_encode(g) == g6_encode_bitwise(g), (n, p)
+
     def test_frozen_values(self):
         assert g6_encode(make_pattern(PatternSpec.complete(3))) == b"Bw"
         assert g6_encode(Graph(0, [])) == b"?"

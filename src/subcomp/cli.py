@@ -201,6 +201,33 @@ def _build_instance(args) -> GadgetInstance:
     return _SAT_GADGETS[args.kind](phi)
 
 
+_ROLE_ENTRY = '    {\n      "vertex": %d,\n      "role": %s,\n      "indices": %s\n    }'
+
+
+def _int_list_text(xs: list) -> str:
+    """json.dumps(xs, indent=2) for a list of ints, as the value of a key
+    three levels deep."""
+    return "[\n        " + ",\n        ".join(map(str, xs)) + "\n      ]" if xs else "[]"
+
+
+def _certificate_text(doc: dict) -> str:
+    """The text of json.dumps(doc, indent=2). The roles list, nearly all of
+    it, is rendered entry by entry; the other values by json.dumps,
+    re-indented one level."""
+    parts = []
+    for key, value in doc.items():
+        if key == "roles" and value:
+            names = {r: json.dumps(r) for r in {e["role"] for e in value}}
+            text = "[\n" + ",\n".join(
+                _ROLE_ENTRY % (e["vertex"], names[e["role"]], _int_list_text(e["indices"]))
+                for e in value
+            ) + "\n  ]"
+        else:
+            text = json.dumps(value, indent=2).replace("\n", "\n  ")
+        parts.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(parts) + "\n}"
+
+
 def cmd_gen(args) -> int:
     inst = _build_instance(args)
     if args.output is not None:
@@ -209,9 +236,7 @@ def cmd_gen(args) -> int:
         stem = "out" if args.input == "-" else Path(args.input).stem
         prefix = f"{stem}.{args.kind}"
     Path(f"{prefix}.g6").write_bytes(g6_encode(inst.graph) + b"\n")
-    Path(f"{prefix}.cert.json").write_text(
-        json.dumps(certificate_json(inst), indent=2) + "\n"
-    )
+    Path(f"{prefix}.cert.json").write_text(_certificate_text(certificate_json(inst)) + "\n")
     print(f"vertices={inst.graph.n}")
     return 0
 

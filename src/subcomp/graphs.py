@@ -453,9 +453,10 @@ def _g6_size_bytes(n: int) -> bytes:
 
 # base64 writes each 6-bit group as a letter of its alphabet; graph6 writes
 # group i as the byte 63 + i
-_B64_TO_G6 = bytes.maketrans(
-    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127))
-)
+_G6_BYTES = bytes(range(63, 127))
+_B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_B64_TO_G6 = bytes.maketrans(_B64, _G6_BYTES)
+_G6_TO_B64 = bytes.maketrans(_G6_BYTES, _B64)
 
 
 def g6_encode(g: Graph) -> bytes:
@@ -470,15 +471,26 @@ def g6_encode(g: Graph) -> bytes:
     return _g6_size_bytes(g.n) + groups[:ngroups]
 
 
+def _out_of_range(codes: Iterable[int]) -> MalformedG6:
+    """The error for the first code outside the graph6 range 63..126."""
+    for i, code in enumerate(codes):
+        if not 63 <= code <= 126:
+            return MalformedG6(f"byte {code:#x} outside graph6 range", i)
+
+
 def g6_decode(data: bytes) -> Graph:
+    """base64 turns the body back into one bit string. Line v of an n-by-n
+    grid holds column v's bits, zero-padded, so row u, lowest column first,
+    is line u up to the diagonal followed by column u of the grid."""
     if isinstance(data, str):
-        data = data.encode("ascii")
+        try:
+            data = data.encode("ascii")
+        except UnicodeEncodeError:
+            raise _out_of_range(map(ord, data)) from None
     if not data:
         raise MalformedG6("empty input", 0)
-    for i, byte in enumerate(data):
-        if not 63 <= byte <= 126:
-            raise MalformedG6(f"byte {byte:#x} outside graph6 range", i)
-    pos = 0
+    if data.translate(None, _G6_BYTES):
+        raise _out_of_range(data)
     if data[0] != 126:
         n = data[0] - 63
         pos = 1
@@ -505,26 +517,19 @@ def g6_decode(data: bytes) -> Graph:
             f"expected {nbytes} adjacency bytes for n={n}, got {len(data) - pos}",
             min(pos + nbytes, len(data)),
         )
-    rows = [0] * n
-    # column-major upper triangle, walked in step with the bit index
-    u, v = 0, 1
-    bit = 0
-    for i in range(nbytes):
-        group = data[pos + i] - 63
-        for k in range(5, -1, -1):
-            if bit >= nbits:
-                if (group >> k) & 1:
-                    raise MalformedG6("nonzero padding bits", pos + i)
-                continue
-            if (group >> k) & 1:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            bit += 1
-            u += 1
-            if u == v:
-                u = 0
-                v += 1
-    return Graph._unchecked(n, tuple(rows))
+    raw = binascii.a2b_base64(data[pos:].translate(_G6_TO_B64) + b"A" * (-nbytes % 4))
+    bits = format(int.from_bytes(raw, "big"), f"0{8 * len(raw)}b").encode()
+    # padding fills less than one 6-bit group, so only the last byte has any
+    if b"1" in bits[nbits:]:
+        raise MalformedG6("nonzero padding bits", len(data) - 1)
+    grid = bytearray(b"0") * (n * n)
+    start = 0
+    for v in range(1, n):
+        grid[v * n : v * n + v] = bits[start : start + v]
+        start += v
+    return Graph._unchecked(n, tuple([
+        int((grid[u * n : u * n + u] + grid[u * n + u :: n])[::-1], 2) for u in range(n)
+    ]))
 
 
 def graph_to_json(g: Graph) -> str:

@@ -16,6 +16,7 @@ import pytest
 
 from subcomp import cli
 from subcomp.cli import main, parse_pattern_token
+from subcomp.gadgets import certificate_json
 from subcomp.graphs import (
     PatternSpec,
     complement,
@@ -280,6 +281,55 @@ class TestGen:
         cnf.write_bytes(b"p cnf 4 1\n1 2 3 0\n")
         code = main(["gen", "c8", str(cnf)])
         assert code == 65
+
+
+class TestCertificateText:
+    """gen writes the certificate as exactly the text json.dumps(doc,
+    indent=2) gives, though it renders the roles list itself."""
+
+    DIMACS_42 = b"p cnf 4 2\n1 -2 3 4 0\n-1 2 -3 4 0\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["k15", "f2.cnf"],
+            ["k15", "--dummy-clause", "f1.cnf"],
+            ["p7", "f1.cnf"],
+            ["p8", "f2.cnf"],
+            ["c8", "f1.cnf"],
+            ["star", "-t", "4", "c5.g6"],
+            ["path", "-t", "3", "c5.g6"],
+            ["cycle", "-t", "4", "c5.g6"],
+            ["star", "-t", "3", "e3.g6"],  # no source edges: "edges": []
+            ["cycle", "-t", "4", "e0.g6"],  # no vertices: "roles": []
+        ],
+    )
+    def test_matches_json_dumps(self, tmp_path, capsys, argv):
+        (tmp_path / "f1.cnf").write_bytes(DIMACS_41)
+        (tmp_path / "f2.cnf").write_bytes(self.DIMACS_42)
+        write_g6(tmp_path, C5_G6, "c5.g6")
+        write_g6(tmp_path, g6_encode(complement(make_pattern(PatternSpec.complete(3)))), "e3.g6")
+        write_g6(tmp_path, b"?", "e0.g6")
+        prefix = tmp_path / "out"
+        argv = ["gen", *argv[:-1], "-o", str(prefix), str(tmp_path / argv[-1])]
+        assert main(argv) == 0
+        inst = cli._build_instance(cli.build_parser().parse_args(argv))
+        expected = json.dumps(certificate_json(inst), indent=2) + "\n"
+        assert (tmp_path / "out.cert.json").read_text() == expected
+
+    def test_empty_indices_and_escaped_names(self):
+        doc = {
+            "kind": "Custom",
+            "params": {},
+            "roles": [
+                {"vertex": 0, "role": "plain", "indices": []},
+                {"vertex": 1, "role": 'quo"te\\', "indices": [3, -1]},
+                {"vertex": 2, "role": "\u00e9\n", "indices": []},
+                {"vertex": 3, "role": "plain", "indices": [0]},
+            ],
+            "size_formula_check": {"expected": 4, "actual": 4, "ok": True},
+        }
+        assert cli._certificate_text(doc) == json.dumps(doc, indent=2)
 
 
 class TestVerify:

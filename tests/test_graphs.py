@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import time
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -714,7 +716,159 @@ def g6_encode_bitwise(g):
     return bytes(out)
 
 
+def g6_decode_bitwise(data):
+    """graph6 decoded one adjacency bit at a time: the reference decoder,
+    with the same checks, messages and offsets."""
+    if isinstance(data, str):
+        data = data.encode("ascii")
+    if not data:
+        raise MalformedG6("empty input", 0)
+    for i, byte in enumerate(data):
+        if not 63 <= byte <= 126:
+            raise MalformedG6(f"byte {byte:#x} outside graph6 range", i)
+    pos = 0
+    if data[0] != 126:
+        n = data[0] - 63
+        pos = 1
+    elif len(data) >= 2 and data[1] != 126:
+        if len(data) < 4:
+            raise MalformedG6("truncated 3-byte size word", len(data))
+        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
+        pos = 4
+        if n <= 62:
+            raise MalformedG6("non-canonical size word", 1)
+    else:
+        if len(data) < 8:
+            raise MalformedG6("truncated 6-byte size word", len(data))
+        n = 0
+        for i in range(2, 8):
+            n = (n << 6) | (data[i] - 63)
+        pos = 8
+        if n <= 258047:
+            raise MalformedG6("non-canonical size word", 2)
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    if len(data) - pos != nbytes:
+        raise MalformedG6(
+            f"expected {nbytes} adjacency bytes for n={n}, got {len(data) - pos}",
+            min(pos + nbytes, len(data)),
+        )
+    rows = [0] * n
+    u, v = 0, 1
+    bit = 0
+    for i in range(nbytes):
+        group = data[pos + i] - 63
+        for k in range(5, -1, -1):
+            if bit >= nbits:
+                if (group >> k) & 1:
+                    raise MalformedG6("nonzero padding bits", pos + i)
+                continue
+            if (group >> k) & 1:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+            bit += 1
+            u += 1
+            if u == v:
+                u = 0
+                v += 1
+    return tuple(rows)
+
+
+def _decode_outcome(decode, data):
+    """The rows on success; else the error's message and offset."""
+    try:
+        result = decode(data)
+    except MalformedG6 as err:
+        return ("MalformedG6", str(err), err.offset)
+    return ("rows", result if isinstance(result, tuple) else result.rows)
+
+
+def _g6_corruptions():
+    """Malformed inputs for every branch of the decoder."""
+    rng = random.Random(12)
+    valid = [g6_encode(_gnp(rng, n, 0.5)) for n in (0, 1, 2, 3, 5, 7, 12, 62, 63, 64, 70)]
+    for data in valid:
+        for i in range(len(data)):
+            for bad in (0x00, 0x20, 0x3E, 0x7F, 0xFF):
+                yield data[:i] + bytes([bad]) + data[i + 1 :]
+        yield data + b"?"  # one body byte too many
+        yield data[:-1]  # one too few, or a cut size word
+        for k in range(6):  # each bit of the last byte, padding or not
+            yield data[:-1] + bytes([63 + ((data[-1] - 63) ^ (1 << k))])
+    # truncated 3- and 6-byte size words
+    for k in range(1, 4):
+        yield b"~" + b"?" * k
+    for k in range(0, 6):
+        yield b"~~" + b"?" * k
+    yield b"~"
+    # non-canonical size words: n <= 62 in three bytes, n <= 258047 in six
+    yield b"~??}"
+    yield b"~??~" + b"?" * 31
+    yield b"~~" + b"?" * 6
+    yield b"~~??~~~~"
+    yield b"~~" + b"???" + b"@??"
+
+
 class TestGraph6:
+    def test_decode_matches_bitwise_reference(self):
+        for n in range(7):
+            for g in all_graphs(n):
+                data = g6_encode(g)
+                assert g6_decode(data).rows == g6_decode_bitwise(data), g.rows
+        rng = random.Random(7)
+        for n in (7, 8, 12, 13, 62, 63, 64, 127, 130, 258, 300, 400):
+            for p in (0.0, 0.1, 0.5, 0.9, 1.0):
+                data = g6_encode(_gnp(rng, n, p))
+                assert g6_decode(data).rows == g6_decode_bitwise(data), (n, p)
+        branches = set()
+        for data in _g6_corruptions():
+            expected = _decode_outcome(g6_decode_bitwise, data)
+            assert _decode_outcome(g6_decode, data) == expected, data
+            assert _decode_outcome(g6_decode, data.decode("latin-1")) == expected, data
+            if expected[0] == "MalformedG6":
+                words = expected[1].split()
+                branch = words[0] if words[0] in ("byte", "expected") else " ".join(words[:2])
+                branches.add((branch, expected[2] if branch == "non-canonical size" else None))
+        assert branches == {
+            ("byte", None),
+            ("expected", None),
+            ("empty input", None),
+            ("nonzero padding", None),
+            ("truncated 3-byte", None),
+            ("truncated 6-byte", None),
+            ("non-canonical size", 1),
+            ("non-canonical size", 2),
+        }
+
+    def test_non_ascii_character_is_malformed(self):
+        for text, offset, code in (("\u00e9", 0, 0xE9), ("Bw\u20ac", 2, 0x20AC), ("B \u00e9", 1, 0x20)):
+            with pytest.raises(MalformedG6) as err:
+                g6_decode(text)
+            assert err.value.offset == offset
+            assert str(err.value) == f"byte {code:#x} outside graph6 range (byte offset {offset})"
+
+    def test_oversized_input_decodes_in_bounded_time_and_memory(self):
+        # a seeded 2,000-vertex graph: 333 KB of graph6
+        n = 2000
+        nbytes = (n * (n - 1) // 2 + 5) // 6
+        to_g6 = bytes.maketrans(bytes(range(256)), bytes(63 + (b & 63) for b in range(256)))
+        body = bytearray(random.Random(2000).randbytes(nbytes).translate(to_g6))
+        body[-1] = 63 + ((body[-1] - 63) & ~3)  # the last two bits are padding
+        data = bytes([126, 63 + (n >> 12), 63 + ((n >> 6) & 63), 63 + (n & 63)]) + body
+        start = time.perf_counter()
+        g = g6_decode(data)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.5
+        assert g.n == n and g6_encode(g) == data
+        assert sum(map(int.bit_count, g.rows)) == 2 * sum((b - 63).bit_count() for b in body)
+        tracemalloc.start()
+        try:
+            g6_decode(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
     def test_encode_matches_bitwise_reference(self):
         for n in range(7):
             for g in all_graphs(n):

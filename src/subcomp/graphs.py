@@ -20,7 +20,7 @@ from .errors import (
     NullGraph,
     PatternTooSmall,
 )
-from .matcher import Pattern, _twin_classes, least_clique, modules_avoiding
+from .matcher import Pattern, _twin_classes, greedy_colourable, least_clique, modules_avoiding
 from .values import Frozen
 
 
@@ -325,8 +325,10 @@ def is_pattern_free(g: Graph, h: Graph | Pattern) -> bool:
     isolated c the same holds with the non-neighbours of v. Peeling repeats
     on h - c inside that mask, on an explicit stack, and a clique or an
     independent set left at the end is one clique search, on the rows or on
-    the complement's rows. Swapping two twins of g is an automorphism, so
-    the first peel tries one vertex per twin class.
+    the complement's rows, unless at least one vertex was peeled and a
+    greedy colouring with one class fewer than its order covers the mask.
+    Swapping two twins of g is an automorphism, so the first peel tries one
+    vertex per twin class.
     """
     pattern = h if isinstance(h, Pattern) else Pattern(h)
     rows = g.rows
@@ -345,12 +347,14 @@ def is_pattern_free(g: Graph, h: Graph | Pattern) -> bool:
         if depth == len(sides):
             if kind == "pattern":
                 found = not _free_within(rows, rest, mask)
-            elif kind == "clique":
-                found = least_clique(rows, mask, rest) is not None
             else:
-                if co_rows is None:
+                if kind == "coclique" and co_rows is None:
                     co_rows = [full ^ row ^ 1 << v for v, row in enumerate(rows)]
-                found = least_clique(co_rows, mask, rest) is not None
+                side = rows if kind == "clique" else co_rows
+                # no bound on a whole host: a K_t check there mostly finds
+                # its clique, so the colouring would only cost time
+                found = (not (depth and greedy_colourable(side, mask, rest - 1))
+                         and least_clique(side, mask, rest) is not None)
             if found:
                 return False
             continue
@@ -376,10 +380,11 @@ def _free_within(rows, pattern: Pattern, within: int) -> bool:
     A copy meets each module of its host in at most one vertex or lies
     inside it; so with v the lowest vertex of a part of the host, the part
     holds a copy iff one of its maximal modules avoiding v does, or the
-    quotient does: v plus the lowest vertex of each such module.
+    quotient does: v plus the lowest vertex of each such module. Each mask
+    is searched with its vertices ranked by degree inside it.
     """
     if not pattern.prime:
-        return pattern.embed(rows, within=within) is None
+        return not pattern._occurs_within(rows, within)
     hn = pattern.graph.n
     stack = [within] if within.bit_count() >= hn else []
     while stack:
@@ -390,7 +395,7 @@ def _free_within(rows, pattern: Pattern, within: int) -> bool:
             quotient |= module & -module
             if module.bit_count() >= hn:
                 stack.append(module)
-        if pattern.embed(rows, within=quotient) is not None:
+        if pattern._occurs_within(rows, quotient):
             return False
     return True
 

@@ -7,7 +7,8 @@ the pattern is prime, and the plan for peeling its universal and isolated
 vertices. The search is a depth-first walk over bitmask domains on an
 explicit stack. `modules_avoiding` splits a host into modules, which a
 decision for a prime pattern can skip. `least_clique` is the one clique
-search the split core, the K_t solver and a peeled decision share.
+search the split core, the K_t solver and a peeled decision share;
+`greedy_colourable` is the bound a peeled decision tries before it.
 """
 
 from __future__ import annotations
@@ -44,14 +45,15 @@ def _selectors(rows, later) -> tuple[bytes, ...]:
     )
 
 
-def _search(steps, later, rows, doms, budget=-1):
+def _search(steps, later, rows, doms, budget=-1, after=None):
     """Depth-first search for an induced embedding into the host graph with
     adjacency bitrows `rows`: pattern vertices in index order, lowest host
     vertex first, on an explicit stack. doms[j] is pattern vertex j's
     starting domain. Placing j on host vertex x narrows each later domain to
     x's neighbours or non-neighbours, as steps[j] says, and the domain of
     each vertex in later[j] (when later is not empty) to host vertices
-    above x.
+    ranked after x: the mask after[x] when a rank table is given, else the
+    vertices above x.
 
     Returns (mapping or None, budget left). Each descent spends one unit of
     budget; 0 left means the search stopped unfinished."""
@@ -79,7 +81,7 @@ def _search(steps, later, rows, doms, budget=-1):
         grow = rows[x]
         gnon = gfull ^ grow ^ xbit
         if later and later[j]:
-            above = -(xbit << 1)
+            above = -(xbit << 1) if after is None else after[x]
             masks = (gnon, grow, gnon & above, grow & above)
         else:
             masks = (gnon, grow, gnon, grow)
@@ -123,6 +125,21 @@ def least_clique(rows, within: int, size: int) -> Optional[int]:
     return grow(0, 0, within)
 
 
+def greedy_colourable(rows, within: int, classes: int) -> bool:
+    """True when a greedy colouring of the host's induced subgraph on the
+    mask within, lowest vertex first, uses at most `classes` colours; then
+    within holds no clique of order classes + 1 (Tomita and Seki, DMTCS
+    2003). Each class is built whole before the next: the lowest uncoloured
+    vertex, then the lowest one seeing none of the class, and so on."""
+    for _ in range(classes):
+        cand = within
+        while cand:
+            vbit = cand & -cand
+            within ^= vbit
+            cand &= ~(rows[vbit.bit_length() - 1] | vbit)
+    return classes >= 0 and not within
+
+
 def _members(mask: int) -> list[int]:
     out = []
     while mask:
@@ -130,6 +147,17 @@ def _members(mask: int) -> list[int]:
         mask ^= xbit
         out.append(xbit.bit_length() - 1)
     return out
+
+
+def _rank_after(rows, within: int) -> list[int]:
+    """after[x]: the mask of the members of within ranked after x, by
+    ascending degree inside within, ties by index (0 outside within)."""
+    after = [0] * len(rows)
+    tail = 0
+    for _, v in sorted((((rows[v] & within).bit_count(), v) for v in _members(within)), reverse=True):
+        after[v] = tail
+        tail |= 1 << v
+    return after
 
 
 def _twin_classes(rows) -> list[int]:
@@ -418,25 +446,41 @@ class Pattern(Frozen):
         induced copy (at least one where the work cap cut the constraints
         short), which is all a decision or a witness needs; the search
         returns the lexicographically least of them."""
-        gn = len(rows) if within is None else within.bit_count()
+        doms = self._domains(rows, (1 << len(rows)) - 1 if within is None else within)
+        return None if doms is None else _search(self._steps, self._later, rows, doms)[0]
+
+    def _occurs_within(self, rows, within: int) -> bool:
+        """Does the host's induced subgraph on the mask within hold a copy?
+
+        The orbit constraints keep one embedding per copy under any total
+        order of the host's vertices, not only under index order. This
+        decision ranks the mask's vertices by ascending degree inside it, so
+        a copy is reached from its lowest-ranked vertices and a vertex of
+        high degree, which branches most, has few vertices left after it
+        (Chiba and Nishizeki, SIAM J. Comput. 1985)."""
+        doms = self._domains(rows, within)
+        if doms is None:
+            return False
+        return _search(self._steps, self._later, rows, doms, after=_rank_after(rows, within))[0] is not None
+
+    def _domains(self, rows, within: int):
+        """Each pattern vertex's starting domain for a search inside the mask
+        within, or None when one is empty: the members whose degree and
+        non-degree inside the mask are at least the vertex's own."""
+        gn = within.bit_count()
         if self.graph.n > gn:
             return None
-        if within is None:
-            gdeg = [row.bit_count() for row in rows]
-        else:
-            # degree -1 keeps a vertex outside the mask out of every domain
-            gdeg = [(row & within).bit_count() if (within >> v) & 1 else -1
-                    for v, row in enumerate(rows)]
+        by_degree = [0] * gn  # by_degree[d]: the members of degree d inside within
+        # a mask of the first gn vertices, such as a whole host, is a range
+        for v in range(gn) if within >> gn == 0 else _members(within):
+            by_degree[(rows[v] & within).bit_count()] |= 1 << v
         need_masks = []
         for deg, non in self._needs:
-            hi = gn - 1 - non
             m = 0
-            for v, d in enumerate(gdeg):
-                if deg <= d <= hi:
-                    m |= 1 << v
+            for part in by_degree[deg:gn - non]:
+                m |= part
             if not m:
                 return None
             need_masks.append(m)
-        later = self._constraints()
-        doms = [need_masks[i] for i in self._need_of]
-        return _search(self._steps, later, rows, doms)[0]
+        self._constraints()  # builds _later and _steps on first use
+        return [need_masks[i] for i in self._need_of]

@@ -26,6 +26,7 @@ from subcomp.gadgets import (
     solution_from_assignment,
     star_inductive,
 )
+from subcomp import graphs, matcher
 from subcomp.graphs import (
     Graph,
     PatternSpec,
@@ -440,6 +441,23 @@ class TestForwardSoundness:
         assert check_threshold(PHI_41, a, 2)
         s = solution_from_assignment(inst, a)
         assert is_pattern_free(subgraph_complement(inst.graph, s), make_pattern(pattern))
+
+    @pytest.mark.parametrize("phi", [PHI_41, PHI_53], ids=["1-clause", "3-clause"])
+    def test_k15_neighbourhoods_fall_to_the_colouring_bound(self, monkeypatch, phi):
+        # four cliques cover every neighbourhood of a flipped K1,5 gadget, so
+        # the greedy colouring at the peel's closure decides each one and no
+        # clique search runs
+        inst = k15_gadget(phi)
+        g = subgraph_complement(inst.graph, solution_from_assignment(inst, brute_sat(phi, 2)))
+        full = (1 << g.n) - 1
+        co_rows = [full ^ row ^ 1 << v for v, row in enumerate(g.rows)]
+        assert all(matcher.greedy_colourable(co_rows, row, 4) for row in g.rows)
+
+        def no_search(*args):
+            raise AssertionError("the colouring bound should have decided")
+
+        monkeypatch.setattr(graphs, "least_clique", no_search)
+        assert is_pattern_free(g, make_pattern(PatternSpec.star(5)))
 
     @pytest.mark.parametrize(
         "build,pattern",

@@ -346,11 +346,12 @@ class TestLeastClique:
             self.check(random_graph(rng, 6), range(64))
 
 
-def satisfies_constraints(pattern, mapping):
+def satisfies_constraints(pattern, mapping, rank=None):
     """Does the mapping put every pattern vertex i below each w in its orbit
-    constraint mask?"""
+    constraint mask, by index or, when given, by rank[x]?"""
+    key = rank.__getitem__ if rank is not None else int
     return all(
-        mapping[i] < mapping[w]
+        key(mapping[i]) < key(mapping[w])
         for i, mask in enumerate(pattern._constraints())
         for w in range(pattern.graph.n)
         if (mask >> w) & 1
@@ -377,9 +378,32 @@ class TestOrbitConstraints:
             automorphisms = brute_embeddings(h, h)
             assert sum(satisfies_constraints(pattern, m) for m in automorphisms) == 1, h.rows
 
+    def test_within_gives_the_least_embedding_in_the_mask(self):
+        # embed(rows, within=m) against every embedding into g[m] that meets
+        # the constraints: every graph with n <= 5 and every mask, then
+        # seeded graphs with n = 6 and 7
+        patterns = [Pattern(make_pattern(spec)) for spec in (
+            PatternSpec.path(3), PatternSpec.complement_of(PatternSpec.path(3)),
+            PatternSpec.complete(3), PatternSpec.path(4), PatternSpec.cycle(4))]
+        rng = random.Random(7)
+        hosts = [g for n in range(6) for g in all_graphs(n)]
+        hosts += [random_graph(rng, n) for n in (6, 7) for _ in range(12)]
+        found = 0
+        for g in hosts:
+            for pattern in patterns:
+                kept = [m for m in brute_embeddings(g, pattern.graph)
+                        if satisfies_constraints(pattern, m)]
+                for within in range(1 << g.n):
+                    inside = [m for m in kept if all(within >> x & 1 for x in m)]
+                    want = min(inside) if inside else None
+                    assert pattern.embed(g.rows, within=within) == want, (g.rows, within)
+                    found += want is not None
+        assert found
+
     @pytest.mark.parametrize("seed", range(3))
     def test_one_embedding_per_copy(self, seed):
         rng = random.Random(seed)
+        shuffler = random.Random(-1 - seed)
         shapes = [make_pattern(spec) for spec in _NAMED_SHAPES]
         shapes += [random_graph(rng, rng.randint(1, 5)) for _ in range(8)]
         for h in shapes:
@@ -390,6 +414,10 @@ class TestOrbitConstraints:
                 every = brute_embeddings(g, h)
                 kept = [m for m in every if satisfies_constraints(pattern, m)]
                 assert len(kept) * order == len(every)
+                # and under any other total order of the host's vertices
+                rank = list(range(g.n))
+                shuffler.shuffle(rank)
+                assert sum(satisfies_constraints(pattern, m, rank) for m in every) * order == len(every)
                 # the decision search returns the least embedding it keeps
                 assert pattern.embed(g.rows) == (min(kept) if kept else None)
 
@@ -488,8 +516,9 @@ _PRIME_SHAPES = [
     PatternSpec.complement_of(PatternSpec.path(5)),
     PatternSpec.cycle(8),
     PatternSpec.complement_of(PatternSpec.cycle(6)),
+    PatternSpec.path(7),
 ]
-_PRIME_IDS = ["P4", "P5", "C5", "co-P5", "C8", "co-C6"]
+_PRIME_IDS = ["P4", "P5", "C5", "co-P5", "C8", "co-C6", "P7"]
 
 
 class TestModularQuotient:
@@ -560,6 +589,171 @@ class TestModularQuotient:
         g = Graph._unchecked(n, tuple(rows))  # symmetric by construction
         assert is_pattern_free(g, make_pattern(PatternSpec.path(4)))
         assert not is_pattern_free(g, make_pattern(PatternSpec.star(3)))
+
+
+def _threshold_from_first(n):
+    """Vertex 0 first, then each later vertex sees every earlier one (odd)
+    or none (even): the modules nest around vertex 0, so every module that
+    avoids it is a singleton and the quotient is the whole host."""
+    rows = [0] * n
+    for v in range(1, n, 2):
+        rows[v] = (1 << v) - 1
+        for u in range(v):
+            rows[u] |= 1 << v
+    return Graph._unchecked(n, tuple(rows))  # symmetric by construction
+
+
+def _order_table(order, n):
+    """after[x]: the mask of the vertices that follow x in order."""
+    after = [0] * n
+    tail = 0
+    for v in reversed(order):
+        after[v] = tail
+        tail |= 1 << v
+    return after
+
+
+def _prime_shapes_up_to_five():
+    """One graph per isomorphism class of prime graphs on at most five
+    vertices: P4, P5, C5, the bull and the house."""
+    shapes = []
+    for atlas in nx.graph_atlas_g()[1:]:
+        if atlas.number_of_nodes() > 5:
+            break
+        h = graph_from_edges(atlas.number_of_nodes(), atlas.edges())
+        if Pattern(h).prime:
+            shapes.append(h)
+    return shapes
+
+
+class TestRankedDecision:
+    """is_pattern_free ranks the vertices of each mask it searches by degree
+    inside it; the orbit constraints keep one embedding per copy under that
+    order, so it answers as the index-ordered Pattern.embed does."""
+
+    def test_every_small_host(self):
+        patterns = [Pattern(h) for h in _prime_shapes_up_to_five()]
+        assert len(patterns) == 5
+        seen = set()
+        for n in range(7):
+            for g in all_graphs(n):
+                for pattern in patterns:
+                    free = is_pattern_free(g, pattern)
+                    assert free == (pattern.embed(g.rows) is None), (g.rows, pattern.graph.rows)
+                    seen.add(free)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("spec", [PatternSpec.path(7), PatternSpec.cycle(8)], ids=["P7", "C8"])
+    def test_seeded_hosts(self, spec):
+        pattern = Pattern(make_pattern(spec))
+        rng = random.Random(repr(spec))
+        seen = set()
+        for n in range(8, 17):
+            for p in (0.2, 0.35, 0.5, 0.65):
+                g = _gnp(rng, n, p)
+                free = is_pattern_free(g, pattern)
+                assert free == (pattern.embed(g.rows) is None), g.rows
+                seen.add(free)
+        assert seen == {True, False}
+
+    @given(graphs(max_n=8), graphs(max_n=5).filter(lambda h: h.n >= 1),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=300, deadline=None)
+    def test_any_total_order_decides_alike(self, g, h, rnd):
+        # the search with a rank table returns an embedding that puts every
+        # constrained pair in that order, and finds one exactly when the
+        # index-ordered search does
+        pattern = Pattern(h)
+        order = list(range(g.n))
+        rnd.shuffle(order)
+        want = pattern.embed(g.rows)
+        doms = pattern._domains(g.rows, (1 << g.n) - 1)
+        if doms is None:
+            assert want is None
+            return
+        got = matcher._search(pattern._steps, pattern._later, g.rows, doms,
+                              after=_order_table(order, g.n))[0]
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert all(g.has_edge(got[i], got[j]) == h.has_edge(i, j)
+                       for i, j in itertools.combinations(range(h.n), 2))
+            rank = {v: i for i, v in enumerate(order)}
+            assert satisfies_constraints(pattern, got, rank)
+
+    def test_rank_puts_low_degree_first(self):
+        # a star's leaves (degree 1) come before its centre; ties by index
+        star = make_pattern(PatternSpec.star(3))
+        assert matcher._rank_after(star.rows, 15) == [0, 0b1100 | 1, 0b1000 | 1, 1]
+        assert Pattern(make_pattern(PatternSpec.path(3)))._domains(star.rows, 15) == [0b1110, 1, 0b1110]
+        # inside a mask, degrees count only the mask's members
+        assert matcher._rank_after(star.rows, 0b0011) == [0b0010, 0, 0, 0]
+        assert matcher._rank_after(star.rows, 0b1011) == [0, 0b1001, 0, 0b0001]
+
+    @pytest.mark.parametrize("spec", [PatternSpec.path(4), PatternSpec.path(5)], ids=["P4", "P5"])
+    def test_threshold_graph_numbered_from_its_first_vertex(self, spec):
+        # every module avoiding the pivot is a singleton, so the quotient is
+        # all 300 vertices; index order took about 2 s here, the degree rank
+        # starts each try at a low-degree vertex and takes tens of ms
+        g = _threshold_from_first(300)
+        h = make_pattern(spec)
+        start = time.perf_counter()
+        assert is_pattern_free(g, h)
+        assert time.perf_counter() - start < 0.4
+        assert not is_pattern_free(g, make_pattern(PatternSpec.star(3)))
+
+
+def first_fit_colours(rows, within):
+    """Colours first-fit gives the host's induced subgraph on within, each
+    vertex in index order taking the least colour no earlier neighbour has."""
+    colour = {}
+    for v in range(len(rows)):
+        if within >> v & 1:
+            used = {colour[u] for u in colour if rows[v] >> u & 1}
+            colour[v] = next(c for c in itertools.count() if c not in used)
+    return len(set(colour.values()))
+
+
+class TestColouringBound:
+    """matcher.greedy_colourable against first-fit colouring, and the clique
+    bound it gives."""
+
+    @staticmethod
+    def check(g, withins):
+        rows = g.rows
+        for within in withins:
+            need = first_fit_colours(rows, within)
+            for k in range(-1, g.n + 2):
+                covered = matcher.greedy_colourable(rows, within, k)
+                assert covered == (0 <= k and need <= k), (rows, within, k)
+                if covered:
+                    assert matcher.least_clique(rows, within, k + 1) is None
+
+    def test_every_graph_and_mask_up_to_five(self):
+        for n in range(6):
+            for g in all_graphs(n):
+                self.check(g, range(1 << n))
+
+    def test_seeded_graphs(self):
+        rng = random.Random(23)
+        for n in range(6, 13):
+            for p in (0.2, 0.5, 0.8):
+                g = _gnp(rng, n, p)
+                self.check(g, [(1 << n) - 1] + [rng.getrandbits(n) for _ in range(6)])
+
+    def test_edge_cases(self):
+        rows = make_pattern(PatternSpec.path(3)).rows
+        # the empty clique is everywhere; no colour covers a vertex
+        assert not matcher.greedy_colourable(rows, 0, -1)
+        assert matcher.greedy_colourable(rows, 0, 0)
+        assert not matcher.greedy_colourable(rows, 0b001, 0)
+        assert matcher.greedy_colourable(rows, 0b101, 1)
+        # K1 is a clique closure of order 1: free exactly when the host is empty
+        k1 = make_pattern(PatternSpec.complete(1))
+        assert Pattern(k1).peel == ((), "clique", 1)
+        assert is_pattern_free(Graph(0, []), k1)
+        assert not is_pattern_free(Graph(1, [0]), k1)
+        assert not is_pattern_free(Graph(2, [0, 0]), make_pattern(PatternSpec.empty(2)))
+        assert is_pattern_free(Graph(2, [2, 1]), make_pattern(PatternSpec.empty(2)))
 
 
 def _wheel(rim):

@@ -41,7 +41,6 @@ from .graphs import (
     is_pattern_free,
     make_pattern,
 )
-from .matcher import Pattern
 from .sat import parse_dimacs
 from .solvers import (
     DEFAULT_SUBSET_CAP,
@@ -166,7 +165,7 @@ def cmd_solve(args) -> int:
         if args.target == "kt":
             report = base(g)
         else:
-            co_target = Pattern(make_pattern(PatternSpec.empty(t)))
+            co_target = make_pattern(PatternSpec.empty(t))
             report = solve_complement_class(
                 g, base, bar_recognizer=lambda h: is_pattern_free(h, co_target)
             )

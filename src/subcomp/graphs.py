@@ -20,7 +20,14 @@ from .errors import (
     NullGraph,
     PatternTooSmall,
 )
-from .matcher import Pattern, _twin_classes, greedy_colourable, least_clique, modules_avoiding
+from .matcher import (
+    Pattern,
+    _twin_classes,
+    greedy_colourable,
+    least_clique,
+    modules_avoiding,
+    prepared,
+)
 from .values import Frozen
 
 
@@ -317,8 +324,9 @@ def no_instance(h: Graph) -> Graph:
 def is_pattern_free(g: Graph, h: Graph | Pattern) -> bool:
     """True iff g contains no induced copy of h.
 
-    h may be a Pattern prepared once for repeated tests. Decision only, so
-    the search reaches each induced copy through one embedding.
+    h may be a Pattern; a Graph gets the one Pattern that every call with
+    an equal graph shares. Decision only, so the search reaches each
+    induced copy through one embedding.
 
     A pattern with a universal vertex c is peeled: g holds a copy iff, for
     some vertex v, g[N(v)] holds a copy of h - c (v plays c). For an
@@ -330,7 +338,7 @@ def is_pattern_free(g: Graph, h: Graph | Pattern) -> bool:
     Swapping two twins of g is an automorphism, so the first peel tries one
     vertex per twin class.
     """
-    pattern = h if isinstance(h, Pattern) else Pattern(h)
+    pattern = h if isinstance(h, Pattern) else prepared(h)
     rows = g.rows
     full = (1 << g.n) - 1
     plan = pattern.peel

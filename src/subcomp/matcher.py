@@ -2,18 +2,22 @@
 
 A Pattern holds what the search needs from the pattern alone: the degree
 filters a host vertex must pass to play each pattern vertex,
-symmetry-breaking constraints from the pattern's automorphisms, and whether
-the pattern is prime, and the plan for peeling its universal and isolated
-vertices. The search is a depth-first walk over bitmask domains on an
-explicit stack. `modules_avoiding` splits a host into modules, which a
-decision for a prime pattern can skip. `least_clique` is the one clique
-search the split core, the K_t solver and a peeled decision share;
-`greedy_colourable` is the bound a peeled decision tries before it.
+symmetry-breaking constraints from the pattern's automorphisms, whether the
+pattern is prime, the plan for peeling its universal and isolated vertices,
+and the order a decision places its vertices in at each host density.
+`prepared` shares one Pattern among all callers with equal pattern graphs.
+The search is a depth-first walk over bitmask domains on an explicit
+stack. `modules_avoiding` splits a host into modules, which a decision for
+a prime pattern can skip. `least_clique` is the one clique search the split
+core, the K_t solver and a peeled decision share; `greedy_colourable` is
+the bound a peeled decision tries before it.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import groupby
+from math import log
 from operator import itemgetter
 from typing import TYPE_CHECKING, Optional
 
@@ -23,6 +27,11 @@ from .values import Frozen
 if TYPE_CHECKING:
     from .graphs import Graph
 
+
+# Largest pattern order a decision plans a search order for. The plan runs
+# one greedy pass per orbit of the pattern's vertices, each quadratic in the
+# order: about 10 ms for a 32-vertex path. Larger patterns keep index order.
+_PLAN_ORDER = 32
 
 # Work the automorphism searches of one Pattern may spend, in descents times
 # pattern order. Patterns too large for one search to finish within it keep
@@ -279,6 +288,15 @@ def _reach(arcs, start: int) -> int:
     return seen
 
 
+def _alike(need_of) -> list[int]:
+    """alike[v]: the mask of the pattern vertices in v's (degree,
+    non-degree) class, the only vertices an automorphism can send v to."""
+    classes: dict[int, int] = {}
+    for v, c in enumerate(need_of):
+        classes[c] = classes.get(c, 0) | 1 << v
+    return [classes[c] for c in need_of]
+
+
 def _orbit_constraints(rows, need_of, twins) -> tuple[int, ...]:
     """Symmetry-breaking constraints (Grochow and Kellis, RECOMB 2007) for
     the pattern with adjacency bitrows `rows`, along the pointwise
@@ -293,10 +311,7 @@ def _orbit_constraints(rows, need_of, twins) -> tuple[int, ...]:
     subset of it."""
     n = len(rows)
     full = (1 << n) - 1
-    classes: dict[int, int] = {}
-    for v, c in enumerate(need_of):
-        classes[c] = classes.get(c, 0) | 1 << v
-    alike = [classes[c] for c in need_of]
+    alike = _alike(need_of)
     budget = _ORBIT_WORK // n
     # a search that finds an automorphism descends n - 1 times
     steps = _selectors(rows, (0,) * n) if budget >= n else None
@@ -341,6 +356,106 @@ def _closure(orbit: int, gens, twins, keep: int) -> int:
     return orbit
 
 
+def _automorphisms(rows, need_of) -> Optional[list[tuple[int, ...]]]:
+    """Every automorphism of the pattern with adjacency bitrows `rows`, as
+    the tuple of vertex images, or None when listing them would take more
+    than _ORBIT_WORK in descents times pattern order."""
+    n = len(rows)
+    budget = _ORBIT_WORK // n
+    full = (1 << n) - 1
+    steps = _selectors(rows, (0,) * n)
+    found = []
+    stack = [((), _alike(need_of))]  # (images so far, domains of the rest)
+    while stack:
+        images, doms = stack.pop()
+        if not doms:
+            found.append(images)
+            continue
+        cand = doms[0]
+        while cand:
+            xbit = cand & -cand
+            cand ^= xbit
+            row = rows[xbit.bit_length() - 1]
+            masks = (full ^ row ^ xbit, row)
+            nxt = [d & masks[s] for d, s in zip(doms[1:], steps[len(images)])]
+            if all(nxt):
+                budget -= 1
+                if budget < 0:
+                    return None
+                stack.append((images + (xbit.bit_length() - 1,), nxt))
+    return found
+
+
+def _search_order(rows, auts, p: float) -> tuple[int, ...]:
+    """The order in which a decision places the pattern's vertices, for a
+    host of edge density p, chosen greedily as in RI (Bonnici et al., BMC
+    Bioinformatics 2013) and VF3 (Carletti et al., IEEE TPAMI 2018).
+
+    Each step appends the vertex that leaves the fewest expected partial
+    embeddings in G(n, p) that meet the orbit constraints. Their log is
+    e log p + f log(1 - p) - sum_j log |orb_j & placed|, for e edges and f
+    non-edges among the placed vertices, where orb_j is the orbit of the
+    j-th placed vertex under the automorphisms (auts) that fix every vertex
+    placed before it: the constraints keep the one placement of each orbit
+    that puts j lowest. The factor n(n-1)... is the same for every
+    candidate, and ties go to the lowest index.
+
+    Every vertex ties at the first step. Taking the lowest index there
+    would walk a path from its end at low density, which leaves 1.2 to 1.8
+    times the partial embeddings of a start in its middle. So the greedy
+    runs from one vertex of each orbit, and the run with the least sequence
+    of step costs wins."""
+    n = len(rows)
+    on, off = log(p), log(1 - p)
+
+    def greedy(first):
+        """(rounded cost of each step, order) of the run from first."""
+        order = []
+        placed = 0
+        fixing = auts  # the automorphisms that fix every placed vertex
+        orbits = []  # each orb_j of more than one vertex, as a mask
+        steps = []
+        pick = first
+        for k in range(1, n + 1):
+            orbit = 0
+            for sigma in fixing:
+                orbit |= 1 << sigma[pick]
+            if orbit & (orbit - 1):
+                orbits.append(orbit)
+            fixing = [sigma for sigma in fixing if sigma[pick] == pick]
+            order.append(pick)
+            placed |= 1 << pick
+            if k == n:
+                return steps, order
+            best = pick = None
+            for v in range(n):
+                if placed >> v & 1:
+                    continue
+                e = (rows[v] & placed).bit_count()
+                cost = e * on + (k - e) * off
+                for orbit in orbits:
+                    if orbit >> v & 1:
+                        m = (orbit & placed).bit_count()
+                        cost -= log((m + 1) / m)
+                cost = round(cost, 9)
+                if best is None or cost < best:
+                    best, pick = cost, v
+            steps.append(best)
+
+    starts = [v for v in range(n) if min(sigma[v] for sigma in auts) == v]
+    return tuple(min(map(greedy, starts))[1])
+
+
+def _listed(h: Graph, order) -> Graph:
+    """The subgraph of h induced by the vertices in order, vertex i of it
+    being order[i]."""
+    from .graphs import Graph
+
+    rows = h.rows
+    return Graph._unchecked(len(order), tuple(
+        sum(1 << j for j, w in enumerate(order) if rows[u] >> w & 1) for u in order))
+
+
 def _peel_plan(h: Graph):
     """How to peel the pattern h down to a base case, or None when h has
     neither a universal nor an isolated vertex, or is too large to peel.
@@ -369,11 +484,7 @@ def _peel_plan(h: Graph):
         left ^= 1 << c
     if not sides:
         return None
-    from .graphs import Graph
-
-    keep = _members(left)
-    rest = [sum(1 << j for j, w in enumerate(keep) if rows[u] >> w & 1) for u in keep]
-    return tuple(sides), "pattern", Pattern(Graph._unchecked(len(keep), tuple(rest)))
+    return tuple(sides), "pattern", prepared(_listed(h, _members(left)))
 
 
 class Pattern(Frozen):
@@ -386,12 +497,13 @@ class Pattern(Frozen):
     embedding. The constraints and the search's selector table take
     O(h^2) bits, so the first search that needs them builds them; a pattern
     larger than every host it meets never pays for them. The twin classes,
-    the prime flag and the peel plan are also built on first use. Equality
-    compares the graph alone; the rest derives from it.
+    the prime flag, the peel plan, the automorphisms and the search orders
+    of decisions are also built on first use. Equality compares the graph
+    alone; the rest derives from it.
     """
 
     __slots__ = ("graph", "_needs", "_need_of", "_later", "_steps", "_twins", "_prime",
-                 "_peel")
+                 "_peel", "_auts", "_plans")
 
     def __init__(self, h: Graph):
         if h.n < 1:
@@ -401,7 +513,7 @@ class Pattern(Frozen):
         object.__setattr__(self, "graph", h)
         object.__setattr__(self, "_needs", needs)
         object.__setattr__(self, "_need_of", tuple(needs.index(p) for p in per_vertex))
-        for name in ("_later", "_steps", "_twins", "_prime", "_peel"):
+        for name in ("_later", "_steps", "_twins", "_prime", "_peel", "_auts", "_plans"):
             object.__setattr__(self, name, None)
 
     def _key(self) -> tuple:
@@ -437,6 +549,32 @@ class Pattern(Frozen):
             object.__setattr__(self, "_peel", _peel_plan(self.graph) or ())
         return self._peel or None
 
+    def _plan(self, degrees: int, gn: int) -> "Pattern":
+        """The pattern relabelled into the search order of a decision on gn
+        host vertices whose degrees sum to `degrees` (see _search_order),
+        or the pattern itself when that order is the index order.
+
+        The density is rounded to a tenth and kept within [0.05, 0.95], so
+        a pattern builds at most eleven plans. Patterns under four vertices
+        or over _PLAN_ORDER, and those whose automorphisms the work cap cuts
+        short, keep index order. A plan's own orbit constraints keep one
+        embedding per copy, so it decides as the pattern does."""
+        if self._plans is None:
+            n = self.graph.n
+            auts = _automorphisms(self.graph.rows, self._need_of) if 4 <= n <= _PLAN_ORDER else None
+            object.__setattr__(self, "_auts", auts)
+            object.__setattr__(self, "_plans", {})
+        if self._auts is None:
+            return self
+        pairs = gn * (gn - 1)
+        tenths = (20 * degrees + pairs) // (2 * pairs)
+        plan = self._plans.get(tenths)
+        if plan is None:
+            order = _search_order(self.graph.rows, self._auts, min(max(tenths, 0.5), 9.5) / 10)
+            plan = self if order == tuple(range(self.graph.n)) else prepared(_listed(self.graph, order))
+            self._plans[tenths] = plan
+        return plan
+
     def embed(self, rows, *, within: Optional[int] = None) -> Optional[tuple[int, ...]]:
         """An induced embedding of the pattern into the host graph with
         adjacency bitrows `rows`, or None; with within, into the host's
@@ -452,28 +590,33 @@ class Pattern(Frozen):
     def _occurs_within(self, rows, within: int) -> bool:
         """Does the host's induced subgraph on the mask within hold a copy?
 
-        The orbit constraints keep one embedding per copy under any total
-        order of the host's vertices, not only under index order. This
+        The pattern's vertices are placed in the plan's order for the mask's
+        density. The orbit constraints keep one embedding per copy under any
+        total order of the host's vertices, not only under index order. This
         decision ranks the mask's vertices by ascending degree inside it, so
         a copy is reached from its lowest-ranked vertices and a vertex of
         high degree, which branches most, has few vertices left after it
         (Chiba and Nishizeki, SIAM J. Comput. 1985)."""
-        doms = self._domains(rows, within)
+        classes = _degree_classes(rows, within, self.graph.n)
+        if classes is None:
+            return False
+        by_degree, degrees = classes
+        plan = self._plan(degrees, len(by_degree))
+        doms = plan._need_domains(by_degree)
         if doms is None:
             return False
-        return _search(self._steps, self._later, rows, doms, after=_rank_after(rows, within))[0] is not None
+        return _search(plan._steps, plan._later, rows, doms, after=_rank_after(rows, within))[0] is not None
 
     def _domains(self, rows, within: int):
         """Each pattern vertex's starting domain for a search inside the mask
         within, or None when one is empty: the members whose degree and
         non-degree inside the mask are at least the vertex's own."""
-        gn = within.bit_count()
-        if self.graph.n > gn:
-            return None
-        by_degree = [0] * gn  # by_degree[d]: the members of degree d inside within
-        # a mask of the first gn vertices, such as a whole host, is a range
-        for v in range(gn) if within >> gn == 0 else _members(within):
-            by_degree[(rows[v] & within).bit_count()] |= 1 << v
+        classes = _degree_classes(rows, within, self.graph.n)
+        return None if classes is None else self._need_domains(classes[0])
+
+    def _need_domains(self, by_degree):
+        """_domains from the mask's members bucketed by degree."""
+        gn = len(by_degree)
         need_masks = []
         for deg, non in self._needs:
             m = 0
@@ -484,3 +627,29 @@ class Pattern(Frozen):
             need_masks.append(m)
         self._constraints()  # builds _later and _steps on first use
         return [need_masks[i] for i in self._need_of]
+
+
+def _degree_classes(rows, within: int, hn: int):
+    """(by_degree, degrees) for the host's induced subgraph on the mask
+    within: by_degree[d] is the mask of its members of degree d, degrees
+    the sum of their degrees. None when the mask has fewer than hn
+    members."""
+    gn = within.bit_count()
+    if hn > gn:
+        return None
+    by_degree = [0] * gn
+    degrees = 0
+    # a mask of the first gn vertices, such as a whole host, is a range
+    for v in range(gn) if within >> gn == 0 else _members(within):
+        d = (rows[v] & within).bit_count()
+        by_degree[d] |= 1 << v
+        degrees += d
+    return by_degree, degrees
+
+
+@lru_cache(maxsize=128)
+def prepared(h: Graph) -> Pattern:
+    """The Pattern of h, shared by every caller that passes an equal graph,
+    so its constraints, peel plan and search orders are built once. The
+    cache keeps the 128 patterns used last."""
+    return Pattern(h)

@@ -28,7 +28,7 @@ from .graphs import (
     make_pattern,
     subgraph_complement,
 )
-from .matcher import Pattern, least_clique
+from .matcher import Pattern, least_clique, prepared
 from .split import region_q_sides
 from .values import Frozen
 
@@ -140,8 +140,9 @@ def brute_solve(g: Graph, h: Graph | Pattern, cap: int = DEFAULT_SUBSET_CAP) -> 
     get searched in order, so order, searches and counts equal those of a
     one-by-one sweep.
 
-    h may be a Pattern prepared once for repeated solves. Stops with Unknown
-    after examining `cap` subsets, rejected ones included.
+    h may be a Pattern; a Graph gets the one Pattern that every caller with
+    an equal graph shares. Stops with Unknown after examining `cap`
+    subsets, rejected ones included.
     """
     start = time.perf_counter()
     if isinstance(h, Pattern):
@@ -149,7 +150,7 @@ def brute_solve(g: Graph, h: Graph | Pattern, cap: int = DEFAULT_SUBSET_CAP) -> 
     elif h.n < 1:
         raise PatternTooSmall("forbidden pattern must have at least one vertex")
     else:
-        pattern = Pattern(h)
+        pattern = prepared(h)
     if pattern.graph.n == 1:
         # only the null graph avoids an induced single vertex
         if g.n == 0:
@@ -261,7 +262,7 @@ def brute_solve(g: Graph, h: Graph | Pattern, cap: int = DEFAULT_SUBSET_CAP) -> 
 
 
 def kt_free_recognizer(t: int) -> Callable[[Graph], bool]:
-    kt = Pattern(make_pattern(PatternSpec.complete(t)))
+    kt = prepared(make_pattern(PatternSpec.complete(t)))
     return lambda g: is_pattern_free(g, kt)
 
 
@@ -352,7 +353,7 @@ def solve_kt_free(
     """
     if t < 1:
         raise InvalidT(f"clique order must be positive, got {t}")
-    kt = Pattern(make_pattern(PatternSpec.complete(t)))
+    kt = prepared(make_pattern(PatternSpec.complete(t)))
     custom = recognizer
     if debug_check and custom is not None:
         inner = custom

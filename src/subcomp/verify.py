@@ -35,7 +35,6 @@ from .graphs import (
     make_pattern,
     subgraph_complement,
 )
-from .matcher import Pattern
 from .sat import CnfFormula, brute_sat
 from .solvers import brute_solve, solve_kt_free
 from .split import enumerate_split_partitions, find_split_partition, ramsey_bound
@@ -99,8 +98,8 @@ def run_gs(max_n: int = 5, seed: int = 0) -> dict:
 def run_dual(max_n: int = 4, seed: int = 0) -> dict:
     """Solving g against complement-of-P_3-free must mirror solving the
     complement graph against P_3-free, certificate included."""
-    p3 = Pattern(make_pattern(PatternSpec.path(3)))
-    p3bar = Pattern(complement(p3.graph))
+    p3 = make_pattern(PatternSpec.path(3))
+    p3bar = complement(p3)
     cases = 0
     failures = []
     for n in range(max_n + 1):
@@ -121,7 +120,7 @@ def run_dual(max_n: int = 4, seed: int = 0) -> dict:
 def run_kt_oracle(max_n: int = 5, seed: int = 0) -> dict:
     """Structured solver versus brute force at K_3. Exhaustive through
     n = 5; beyond that 200 seeded random graphs per order."""
-    kt = Pattern(make_pattern(PatternSpec.complete(3)))
+    kt = make_pattern(PatternSpec.complete(3))
     rng = random.Random(seed)
     cases = 0
     failures = []
@@ -237,7 +236,7 @@ def run_gadget(max_n: int = 6, seed: int = 0) -> dict:
     failures = []
     ran = 0
     for name, (build, pattern_spec) in _GADGETS.items():
-        pattern = Pattern(make_pattern(pattern_spec))
+        pattern = make_pattern(pattern_spec)
         for _ in range(3):
             ran += 1
             phi = random_satisfiable_formula(rng, max_n=max_n, max_m=1)
@@ -257,7 +256,7 @@ def run_inductive(max_n: int = 2, seed: int = 0) -> dict:
     every source graph up to max_n vertices (cycle capped at two to keep the
     lifted instances within exhaustive reach)."""
     p3, k13, p4, p5, c6 = (
-        Pattern(make_pattern(spec))
+        make_pattern(spec)
         for spec in (
             PatternSpec.path(3),
             PatternSpec.star(3),

@@ -484,6 +484,31 @@ class TestForwardSoundness:
         inst = build(PHI_53)
         assert not is_pattern_free(inst.graph, make_pattern(pattern))
 
+    @pytest.mark.parametrize(
+        "build,pattern",
+        [
+            (p7_gadget, PatternSpec.path(7)),
+            (p8_gadget, PatternSpec.path(8)),
+            (c8_gadget, PatternSpec.cycle(8)),
+        ],
+    )
+    def test_planned_quotient_decisions(self, build, pattern):
+        # the top modular quotient of a gadget is searched in a planned
+        # order; flipped it holds no copy, unflipped it holds one, as the
+        # index-ordered search says
+        inst = build(PHI_53)
+        s = solution_from_assignment(inst, brute_sat(PHI_53, 2))
+        planned = matcher.Pattern(make_pattern(pattern))
+        for g, free in ((subgraph_complement(inst.graph, s), True), (inst.graph, False)):
+            full = (1 << g.n) - 1
+            quotient = 1
+            for module in matcher.modules_avoiding(g.rows, full, 0):
+                quotient |= module & -module
+            assert planned._occurs_within(g.rows, quotient) == (
+                planned.embed(g.rows, within=quotient) is not None)
+            assert is_pattern_free(g, planned) == free
+        assert any(plan is not planned for plan in planned._plans.values())
+
 
 class TestInductiveEquivalence:
     def test_star_smallest(self):

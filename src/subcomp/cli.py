@@ -200,27 +200,34 @@ def _build_instance(args) -> GadgetInstance:
     return _SAT_GADGETS[args.kind](phi)
 
 
-_ROLE_ENTRY = '    {\n      "vertex": %d,\n      "role": %s,\n      "indices": %s\n    }'
+# one roles entry as json.dumps(doc, indent=2) writes it; the role name is
+# filled in here, the vertex and index slots by the writer
+_ROLE_ENTRY = '    {\n      "vertex": %%s,\n      "role": %s,\n      "indices": %s\n    }'
 
 
-def _int_list_text(xs: list) -> str:
-    """json.dumps(xs, indent=2) for a list of ints, as the value of a key
-    three levels deep."""
-    return "[\n        " + ",\n        ".join(map(str, xs)) + "\n      ]" if xs else "[]"
+def _role_template(name: str, arity: int) -> str:
+    """Roles entry with a %s slot for the vertex and each of arity int
+    indices."""
+    indices = "[\n        " + ",\n        ".join(["%s"] * arity) + "\n      ]" if arity else "[]"
+    return _ROLE_ENTRY % (json.dumps(name).replace("%", "%%"), indices)
 
 
 def _certificate_text(doc: dict) -> str:
     """The text of json.dumps(doc, indent=2). The roles list, nearly all of
-    it, is rendered entry by entry; the other values by json.dumps,
-    re-indented one level."""
+    it, is one % format over the joined templates of its entries, one
+    template per (role name, arity); the other values are rendered by
+    json.dumps, re-indented one level."""
     parts = []
     for key, value in doc.items():
         if key == "roles" and value:
-            names = {r: json.dumps(r) for r in {e["role"] for e in value}}
-            text = "[\n" + ",\n".join(
-                _ROLE_ENTRY % (e["vertex"], names[e["role"]], _int_list_text(e["indices"]))
-                for e in value
-            ) + "\n  ]"
+            keys, slots = [], []
+            for e in value:
+                index = e["indices"]
+                keys.append((e["role"], len(index)))
+                slots.append(e["vertex"])
+                slots += index
+            templates = {k: _role_template(*k) for k in set(keys)}
+            text = "[\n" + ",\n".join([templates[k] for k in keys]) % tuple(slots) + "\n  ]"
         else:
             text = json.dumps(value, indent=2).replace("\n", "\n  ")
         parts.append(f"  {json.dumps(key)}: {text}")

@@ -22,7 +22,6 @@ from .graphs import (
     Graph,
     PatternSpec,
     VertexSet,
-    _checked_labels,
     complement,
     make_pattern,
 )
@@ -74,56 +73,65 @@ class GadgetInstance(Frozen):
         return f"GadgetInstance({self.kind}, n={self.graph.n})"
 
 
+def _span(start: int, k: int) -> int:
+    """Mask of the k vertices start, start + 1, ..., start + k - 1."""
+    return ((1 << k) - 1) << start
+
+
 class _Builder:
+    """Adjacency rows built block by block: every block of a gadget sits on
+    a contiguous vertex range, and vertex groups are joined as masks."""
+
     def __init__(self, n: int):
         self.n = n
         self.rows = [0] * n
 
-    def edge(self, u: int, v: int):
-        self.rows[u] |= 1 << v
-        self.rows[v] |= 1 << u
-
-    def all_adj(self, a: Iterable[int], b: Iterable[int]):
-        """Make every vertex of a adjacent to every vertex of b; the two
-        sets are disjoint."""
-        a, b = list(a), list(b)
-        ma = mb = 0
-        for u in a:
-            ma |= 1 << u
-        for v in b:
-            mb |= 1 << v
+    def add(self, mask: int, row: int):
+        """OR row into the row of every vertex of mask."""
         rows = self.rows
-        for u in a:
-            rows[u] |= mb
-        for v in b:
-            rows[v] |= ma
+        while mask:
+            low = mask & -mask
+            rows[low.bit_length() - 1] |= row
+            mask ^= low
 
-    def clique(self, verts: Iterable[int]):
-        verts = list(verts)
-        for i, u in enumerate(verts):
-            for v in verts[i + 1 :]:
-                self.edge(u, v)
+    def join(self, a: int, b: int):
+        """Make every vertex of mask a adjacent to every vertex of mask b;
+        the two masks are disjoint."""
+        self.add(a, b)
+        self.add(b, a)
 
-    def join_all(self, groups: list[list[int]]):
-        """Make every two of the vertex groups fully adjacent."""
-        for i, a in enumerate(groups):
-            for other in groups[i + 1 :]:
-                self.all_adj(a, other)
+    def block(self, start: int, pattern: Graph):
+        """Lay a pattern graph onto the range from start, slot i playing
+        pattern vertex i."""
+        rows = self.rows
+        for i, row in enumerate(pattern.rows):
+            rows[start + i] |= row << start
 
-    def block(self, verts: list[int], pattern: Graph):
-        """Lay a pattern graph onto verts, slot i playing pattern vertex i."""
-        for u, v in pattern.edges():
-            self.edge(verts[u], verts[v])
+    def clique(self, start: int, k: int):
+        full = _span(start, k)
+        rows = self.rows
+        for v in range(start, start + k):
+            rows[v] |= full ^ (1 << v)
 
-    def finish(self, labels) -> Graph:
+    def finish(self, roles: list[Role]) -> Graph:
         # every edge was set in both rows and never on a vertex itself
-        return Graph._unchecked(self.n, tuple(self.rows), _checked_labels(labels, self.n))
+        return Graph._unchecked(self.n, tuple(self.rows), _labels_from_roles(roles))
+
+
+def _roles(name: str, prefix: tuple, k: int) -> list[Role]:
+    """Roles of a k-vertex block: the prefix followed by the slot."""
+    return [Role._make((name, (*prefix, j))) for j in range(k)]
 
 
 def _labels_from_roles(roles: list[Role]) -> tuple[str, ...]:
-    return tuple(
-        f"{r.name}:{','.join(str(x) for x in r.index)}" for r in roles
-    )
+    """"name:i,j,..." per vertex, from one % template per role name and
+    number of indices."""
+    templates = {}
+    for name, index in roles:
+        key = name, len(index)
+        if key not in templates:
+            templates[key] = name.replace("%", "%%") + ":" + ",".join(["%s"] * len(index))
+    return tuple([templates[name, len(index)] % index for name, index in roles])
 
 
 def _inductive(gprime: Graph, t: int, kind: str) -> GadgetInstance:
@@ -131,13 +139,8 @@ def _inductive(gprime: Graph, t: int, kind: str) -> GadgetInstance:
     np = gprime.n
     n = np * (t + 3)
     b = _Builder(n)
+    b.rows[:np] = gprime.rows
     roles = [Role("source", (u,)) for u in range(np)]
-    for u, v in gprime.edges():
-        b.edge(u, v)
-
-    def block_verts(u):
-        start = np + u * block_size
-        return list(range(start, start + block_size))
 
     if kind == STAR_INDUCTIVE:
         inner = make_pattern(PatternSpec.complete(block_size))
@@ -146,18 +149,17 @@ def _inductive(gprime: Graph, t: int, kind: str) -> GadgetInstance:
     else:
         inner = complement(make_pattern(PatternSpec.cycle(block_size)))
 
+    blocks = _span(np, np * block_size)
     for u in range(np):
-        verts = block_verts(u)
-        b.block(verts, inner)
-        if kind == STAR_INDUCTIVE:
-            # the last slot is the special vertex the source stays clear of
-            b.all_adj([u], verts[:-1])
-        else:
-            b.all_adj([u], verts)
-        roles.extend(Role("block", (u, slot)) for slot in range(block_size))
-    if kind == CYCLE_INDUCTIVE:
-        b.join_all([block_verts(u) for u in range(np)])
-    graph = b.finish(_labels_from_roles(roles))
+        start = np + u * block_size
+        b.block(start, inner)
+        own = _span(start, block_size)
+        # the star's last slot is the special vertex the source stays clear of
+        b.join(1 << u, _span(start, block_size - 1) if kind == STAR_INDUCTIVE else own)
+        if kind == CYCLE_INDUCTIVE:
+            b.add(own, blocks ^ own)
+        roles += _roles("block", (u,), block_size)
+    graph = b.finish(roles)
     return GadgetInstance(graph, kind, roles, {"t": t, "source": gprime})
 
 
@@ -216,42 +218,26 @@ def k15_gadget(phi: CnfFormula, add_dummy_clause: bool = False) -> GadgetInstanc
         fresh = [phi.n + 1, phi.n + 2, phi.n + 3, phi.n + 4]
         phi = CnfFormula(phi.n + 4, list(phi.clauses) + [fresh])
     n, m = phi.n, phi.m
-    total = 22 * n + 5 * m
-    b = _Builder(total)
-    roles: list[Optional[Role]] = [None] * total
-
-    def hang(i, s, slot):
-        return 2 * n + ((i - 1) * 4 + (s - 1)) * 5 + slot
-
-    def clause(i, slot):
-        return 22 * n + (i - 1) * 5 + slot
+    b = _Builder(22 * n + 5 * m)
+    roles = [Role("literal", (i, side)) for i in range(1, n + 1) for side in (0, 1)]
 
     for i in range(1, n + 1):
-        u, up = _lit(i, 0), _lit(i, 1)
-        roles[u] = Role("literal", (i, 0))
-        roles[up] = Role("literal", (i, 1))
-        b.edge(u, up)
-        hangs = {s: [hang(i, s, j) for j in range(5)] for s in (1, 2, 3, 4)}
-        for s, verts in hangs.items():
-            b.clique(verts)
-            for j, v in enumerate(verts):
-                roles[v] = Role("hanging", (i, s, j))
-        b.all_adj([u, up], hangs[1])
-        for s in (2, 3, 4):
-            b.all_adj(hangs[1], hangs[s])
+        hang = 2 * n + (i - 1) * 20  # four 5-cliques, chain s = 1..4
+        b.join(1 << _lit(i, 0), 1 << _lit(i, 1))
+        for s in (1, 2, 3, 4):
+            b.clique(hang + (s - 1) * 5, 5)
+            roles += _roles("hanging", (i, s), 5)
+        b.join(_span(_lit(i, 0), 2), _span(hang, 5))
+        b.join(_span(hang, 5), _span(hang + 5, 15))
 
-    all_clause_verts = []
     for i in range(1, m + 1):
-        verts = [clause(i, j) for j in range(5)]
-        for j, v in enumerate(verts):
-            roles[v] = Role("clause", (i, j))
-        all_clause_verts.extend(verts)
+        verts = _span(22 * n + (i - 1) * 5, 5)
+        roles += _roles("clause", (i,), 5)
         for litval in phi.clauses[i - 1]:
-            var, side = _literal_vertex(litval)
-            b.all_adj([_lit(var, side)], verts)
-    b.clique(all_clause_verts)
+            b.join(1 << _lit(*_literal_vertex(litval)), verts)
+    b.clique(22 * n, 5 * m)
 
-    graph = b.finish(_labels_from_roles(roles))
+    graph = b.finish(roles)
     params = {"phi": phi, "dummy_clause_added": add_dummy_clause}
     return GadgetInstance(graph, K15, roles, params)
 
@@ -265,77 +251,53 @@ def _p_gadget(phi: CnfFormula, block_size: int) -> GadgetInstance:
     blocks_per_clause = 3 + extra_blocks
     total = per_var * n + blocks_per_clause * block_size * m
     b = _Builder(total)
-    roles: list[Optional[Role]] = [None] * total
+    roles = [Role("literal", (i, side)) for i in range(1, n + 1) for side in (0, 1)]
     pbar = complement(make_pattern(PatternSpec.path(block_size)))
 
-    def hang(i, side, s, slot):
-        return 2 * n + ((i - 1) * 6 + side * 3 + (s - 1)) * block_size + slot
-
-    def clause_block(i, blk, slot):
-        return per_var * n + ((i - 1) * blocks_per_clause + blk) * block_size + slot
-
-    group = {}  # variable -> all vertices of its literal pair and six chains
+    chains = 6 * block_size  # a variable's six hanging chains, side-major
     for i in range(1, n + 1):
-        u, up = _lit(i, 0), _lit(i, 1)
-        roles[u] = Role("literal", (i, 0))
-        roles[up] = Role("literal", (i, 1))
-        members = [u, up]
         for side in (0, 1):
-            prev = [_lit(i, side)]
+            prev = 1 << _lit(i, side)
             for s in (1, 2, 3):
-                verts = [hang(i, side, s, j) for j in range(block_size)]
-                b.block(verts, pbar)
-                b.all_adj(prev, verts)
-                for j, v in enumerate(verts):
-                    roles[v] = Role("hanging", (i, side, s, j))
-                members.extend(verts)
+                start = 2 * n + ((i - 1) * 6 + side * 3 + (s - 1)) * block_size
+                verts = _span(start, block_size)
+                b.block(start, pbar)
+                b.join(prev, verts)
+                roles += _roles("hanging", (i, side, s), block_size)
                 prev = verts
-        group[i] = members
 
-    # hanging sets (all of a group but its two literal vertices) see
-    # everything outside their own variable's group
-    for members in group.values():
-        inside = set(members)
-        b.all_adj(members[2:], [v for v in range(total) if v not in inside])
+    # hanging sets (all of a variable's group but its two literal vertices)
+    # see everything outside their own group
+    full = _span(0, total)
+    lits = _span(0, 2 * n)
+    hanging = _span(2 * n, chains * n)
+    for i in range(1, n + 1):
+        own = _span(2 * n + (i - 1) * chains, chains)
+        pair = _span(_lit(i, 0), 2)
+        b.add(own, full ^ own ^ pair)
+        b.add(pair, hanging ^ own)
+    clause_verts = full ^ lits ^ hanging
+    b.add(clause_verts, hanging)
 
     pairs = [(1, 2), (2, 3), (3, 4)]
-    clause_members = []
     for i in range(1, m + 1):
-        lits = phi.clauses[i - 1]
-        in_clause = {_literal_vertex(l) for l in lits}
-        outside_lits = [
-            _lit(var, side)
-            for var in range(1, n + 1)
-            for side in (0, 1)
-            if (var, side) not in in_clause
-        ]
-        members = []
-        blk = 0
+        clits = [1 << _lit(*_literal_vertex(l)) for l in phi.clauses[i - 1]]
+        outside = lits & ~(clits[0] | clits[1] | clits[2] | clits[3])
+        start = per_var * n + (i - 1) * blocks_per_clause * block_size
+        group = _span(start, blocks_per_clause * block_size)
+        b.add(group, clause_verts ^ group)  # clause groups are joined
         if extra_blocks:
-            verts = [clause_block(i, 0, j) for j in range(block_size)]
-            b.block(verts, pbar)
-            var, side = _literal_vertex(lits[0])
-            b.all_adj([_lit(var, side)], verts)
-            b.all_adj(outside_lits, verts)
-            for j, v in enumerate(verts):
-                roles[v] = Role("clause_single", (i, 1, j))
-            members.extend(verts)
-            blk = 1
+            b.block(start, pbar)
+            b.join(outside | clits[0], _span(start, block_size))
+            roles += _roles("clause_single", (i, 1), block_size)
+            start += block_size
         for s, t_ in pairs:
-            verts = [clause_block(i, blk, j) for j in range(block_size)]
-            b.block(verts, pbar)
-            for pos in (s, t_):
-                var, side = _literal_vertex(lits[pos - 1])
-                b.all_adj([_lit(var, side)], verts)
-            b.all_adj(outside_lits, verts)
-            for j, v in enumerate(verts):
-                roles[v] = Role("clause_pair", (i, s, t_, j))
-            members.extend(verts)
-            blk += 1
-        clause_members.append(members)
-    b.join_all(clause_members)
+            b.block(start, pbar)
+            b.join(outside | clits[s - 1] | clits[t_ - 1], _span(start, block_size))
+            roles += _roles("clause_pair", (i, s, t_), block_size)
+            start += block_size
 
-    graph = b.finish(_labels_from_roles(roles))
+    graph = b.finish(roles)
     kind = P8 if block_size == 8 else P7
     return GadgetInstance(graph, kind, roles, {"phi": phi})
 
@@ -361,45 +323,33 @@ def c8_gadget(phi: CnfFormula) -> GadgetInstance:
     """
     _require_exact_4sat(phi)
     n, m = phi.n, phi.m
-    total = 8 * n + 48 * m
-    b = _Builder(total)
-    roles: list[Optional[Role]] = [None] * total
+    b = _Builder(8 * n + 48 * m)
+    roles = []
     cbar = complement(make_pattern(PatternSpec.cycle(8)))
 
-    def var_vertex(i, pos):
-        return (i - 1) * 8 + pos
-
-    def clause_block(i, blk, slot):
-        return 8 * n + ((i - 1) * 6 + blk) * 8 + slot
-
     for i in range(1, n + 1):
-        verts = [var_vertex(i, pos) for pos in range(8)]
-        b.block(verts, cbar)
-        for pos, v in enumerate(verts):
-            # side 0 (positive) holds the even walk positions
-            roles[v] = Role("literal_set", (i, pos % 2, pos // 2))
+        b.block((i - 1) * 8, cbar)
+        # side 0 (positive) holds the even walk positions
+        roles += [Role("literal_set", (i, pos % 2, pos // 2)) for pos in range(8)]
 
     def literal_set(litval):
         var, side = _literal_vertex(litval)
-        return [var_vertex(var, 2 * member + side) for member in range(4)]
+        return 0x55 << ((var - 1) * 8 + side)  # walk positions side, side + 2, ...
 
     pairs = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
-    clause_members = []
+    clause_verts = _span(8 * n, 48 * m)
     for i in range(1, m + 1):
         lits = phi.clauses[i - 1]
-        members = []
-        for blk, (s, t_) in enumerate(pairs):
-            verts = [clause_block(i, blk, j) for j in range(8)]
-            b.block(verts, cbar)
-            b.all_adj(literal_set(lits[s - 1]), verts)
-            b.all_adj(literal_set(lits[t_ - 1]), verts)
-            for j, v in enumerate(verts):
-                roles[v] = Role("clause_pair", (i, s, t_, j))
-            members.extend(verts)
-        clause_members.append(members)
-    b.join_all(clause_members)
+        start = 8 * n + (i - 1) * 48
+        group = _span(start, 48)
+        b.add(group, clause_verts ^ group)  # clause groups are joined
+        for s, t_ in pairs:
+            b.block(start, cbar)
+            b.join(literal_set(lits[s - 1]) | literal_set(lits[t_ - 1]), _span(start, 8))
+            roles += _roles("clause_pair", (i, s, t_), 8)
+            start += 8
 
-    graph = b.finish(_labels_from_roles(roles))
+    graph = b.finish(roles)
     return GadgetInstance(graph, C8, roles, {"phi": phi})
 
 

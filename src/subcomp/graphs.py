@@ -397,6 +397,10 @@ def _free_within(rows, pattern: Pattern, within: int) -> bool:
     stack = [within] if within.bit_count() >= hn else []
     while stack:
         part = stack.pop()
+        # degrees and non-degrees inside a subset never exceed those inside
+        # the part, so a part that fails the degree filters holds no copy
+        if pattern._domains(rows, part) is None:
+            continue
         v = (part & -part).bit_length() - 1
         quotient = 1 << v
         for module in modules_avoiding(rows, part, v):
@@ -470,18 +474,26 @@ _G6_BYTES = bytes(range(63, 127))
 _B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 _B64_TO_G6 = bytes.maketrans(_B64, _G6_BYTES)
 _G6_TO_B64 = bytes.maketrans(_G6_BYTES, _B64)
+_BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 def g6_encode(g: Graph) -> bytes:
-    """Each column's bits as a string, lowest row first; the whole bit
-    string, zero-padded to whole bytes of three groups, is cut into 6-bit
-    groups by base64."""
-    bits = "".join(format(g.rows[v] & ((1 << v) - 1), f"0{v}b")[::-1] for v in range(1, g.n))
-    ngroups = (len(bits) + 5) // 6
-    bits += "0" * (-len(bits) % 24)
-    packed = int(bits, 2).to_bytes(len(bits) // 8, "big") if bits else b""
+    """The upper triangle as one integer r, column v's bits from offset
+    v(v-1)/2, lowest row first. Columns are merged in pairs, level by
+    level, so each bit is copied once per level, not once per column. The
+    little-endian bytes of r, each bit-reversed, are the bit string packed
+    big-endian; zero-padded to whole bytes of three groups, base64 cuts it
+    into 6-bit groups."""
+    nbits = g.n * (g.n - 1) // 2
+    parts = [(row & ((1 << v) - 1), v * (v - 1) // 2) for v, row in enumerate(g.rows)]
+    while len(parts) > 1:
+        merged = [(lo | hi << (at - lo_at), lo_at)
+                  for (lo, lo_at), (hi, at) in zip(parts[::2], parts[1::2])]
+        parts = merged + parts[2 * len(merged):]
+    r = parts[0][0] if parts else 0
+    packed = r.to_bytes(-(-nbits // 24) * 3, "little").translate(_BIT_REVERSED)
     groups = binascii.b2a_base64(packed, newline=False).translate(_B64_TO_G6)
-    return _g6_size_bytes(g.n) + groups[:ngroups]
+    return _g6_size_bytes(g.n) + groups[: (nbits + 5) // 6]
 
 
 def _out_of_range(codes: Iterable[int]) -> MalformedG6:
@@ -523,6 +535,9 @@ def g6_decode(data: bytes) -> Graph:
         pos = 8
         if n <= 258047:
             raise MalformedG6("non-canonical size word", 2)
+    if n > MAX_JSON_VERTICES:
+        # the size word's value starts at offset 0, 1 or 2: pos // 4
+        raise MalformedG6(f"n is {n}; at most {MAX_JSON_VERTICES} vertices are accepted", pos // 4)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     if len(data) - pos != nbytes:
@@ -552,9 +567,10 @@ def graph_to_json(g: Graph) -> str:
     return json.dumps(doc)
 
 
-# Largest vertex count graph_from_json accepts. The row table is allocated
-# from the declared n before any edge is read, and a graph6 encoding of a
-# graph this size already takes 22 MB.
+# Largest vertex count graph_from_json and g6_decode accept. Both allocate
+# from the declared n before any edge is read. A graph6 encoding of a graph
+# this size already takes 22 MB, and g6_decode, which holds the bit string
+# and an n-by-n grid at once, peaks at about 20 times its input.
 MAX_JSON_VERTICES = 1 << 14
 
 

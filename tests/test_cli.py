@@ -5,6 +5,7 @@ plus captured stdout/stderr, so the exact contract scripts rely on is what
 gets pinned here.
 """
 
+import hashlib
 import io
 import json
 import os
@@ -22,6 +23,7 @@ from subcomp.graphs import (
     complement,
     g6_decode,
     g6_encode,
+    graph_from_edges,
     make_pattern,
     no_instance,
 )
@@ -198,6 +200,17 @@ class TestSolve:
         assert code == 65
         assert "byte offset" in json.loads(capsys.readouterr().err)["message"]
 
+    def test_g6_above_the_vertex_cap_exits_65(self, tmp_path, capsys):
+        path = tmp_path / "big.g6"
+        path.write_bytes(b"~C?@\n")  # header only, n = 16,385
+        code = main(["solve", "--target", "kt", "-t", "3", str(path)])
+        assert code == 65
+        err = capsys.readouterr().err
+        assert json.loads(err) == {
+            "error": "MalformedG6",
+            "message": "n is 16385; at most 16384 vertices are accepted (byte offset 1)",
+        }
+
     def test_stdin_dash(self, monkeypatch, capsys):
         monkeypatch.setattr("sys.stdin", SimpleNamespace(buffer=io.BytesIO(C5_G6 + b"\n")))
         code = main(["solve", "--target", "kt", "-t", "3", "-"])
@@ -283,6 +296,56 @@ class TestGen:
         assert code == 65
 
 
+class TestGenDigests:
+    """gen output is a fixture: the sha256 digests (first 16 hex digits) of
+    the .g6 and .cert.json files for every kind on two formulas and two
+    source graphs. A change to the builders or writers must keep them."""
+
+    FORMULAS = {
+        "a": b"p cnf 5 2\n1 -2 3 4 0\n-1 2 -5 3 0\n",
+        "b": b"p cnf 6 3\n1 2 3 4 0\n-1 -2 5 6 0\n3 -4 -5 -6 0\n",
+    }
+    SOURCES = {
+        "a": [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)],
+        "b": [(0, 1), (1, 2), (2, 3)],
+    }
+    DIGESTS = {
+        ("a", "k15"): ("7f5d80456de6b404", "422c310a01727111"),
+        ("a", "k15 --dummy-clause"): ("ba46ee6e3c702902", "2f6479949c32d4c5"),
+        ("a", "p7"): ("6e958137d3b254bf", "4b94328274973a70"),
+        ("a", "p8"): ("ae21bb6a9e8e2f25", "3352eb7408ebafd8"),
+        ("a", "c8"): ("ec5d55d1d5bcf551", "d434406fdf88f483"),
+        ("a", "star -t 3"): ("4df919833c26b0eb", "57ce097f28602fa9"),
+        ("a", "path -t 4"): ("20949be5fb0f9f0d", "33b064439f248d1b"),
+        ("a", "cycle -t 5"): ("604831d171000cdf", "fcb9e2148bd55ec1"),
+        ("b", "k15"): ("b1b632a0b05807ef", "01ab01fb28c29011"),
+        ("b", "k15 --dummy-clause"): ("af1cb65096b565a4", "a1460d4bca6f589a"),
+        ("b", "p7"): ("b65491a06ad8bedd", "386d216618731a63"),
+        ("b", "p8"): ("decc5514a0ae7276", "31f211fc966a5e9e"),
+        ("b", "c8"): ("69b0b4ba4e40bac2", "85d60468ce76ae3d"),
+        ("b", "star -t 3"): ("e1c3e0c7b31bb2ba", "b5534142195a5162"),
+        ("b", "path -t 4"): ("a5435dfa5d37d6e2", "95ea664f72f2e499"),
+        ("b", "cycle -t 5"): ("c306b42fcd99ea9f", "eebee5cc55532a6a"),
+    }
+
+    @pytest.mark.parametrize("key,argv", sorted(DIGESTS))
+    def test_digest(self, tmp_path, capsys, key, argv):
+        argv = argv.split()
+        if "-t" in argv:
+            n = 1 + max(max(e) for e in self.SOURCES[key])
+            source = write_g6(tmp_path, g6_encode(graph_from_edges(n, self.SOURCES[key])))
+        else:
+            source = tmp_path / "phi.cnf"
+            source.write_bytes(self.FORMULAS[key])
+        prefix = tmp_path / "out"
+        assert main(["gen", *argv, "-o", str(prefix), str(source)]) == 0
+        digests = tuple(
+            hashlib.sha256((tmp_path / f"out.{ext}").read_bytes()).hexdigest()[:16]
+            for ext in ("g6", "cert.json")
+        )
+        assert digests == self.DIGESTS[key, " ".join(argv)]
+
+
 class TestCertificateText:
     """gen writes the certificate as exactly the text json.dumps(doc,
     indent=2) gives, though it renders the roles list itself."""
@@ -326,8 +389,11 @@ class TestCertificateText:
                 {"vertex": 1, "role": 'quo"te\\', "indices": [3, -1]},
                 {"vertex": 2, "role": "\u00e9\n", "indices": []},
                 {"vertex": 3, "role": "plain", "indices": [0]},
+                {"vertex": 4, "role": "100%", "indices": [7]},
+                {"vertex": 5, "role": "%d %s %%", "indices": [1, 2]},
+                {"vertex": 6, "role": "plain", "indices": [0, 1]},
             ],
-            "size_formula_check": {"expected": 4, "actual": 4, "ok": True},
+            "size_formula_check": {"expected": 7, "actual": 7, "ok": True},
         }
         assert cli._certificate_text(doc) == json.dumps(doc, indent=2)
 

@@ -26,7 +26,7 @@ from subcomp.gadgets import (
     solution_from_assignment,
     star_inductive,
 )
-from subcomp import graphs, matcher
+from subcomp import gadgets, graphs, matcher
 from subcomp.graphs import (
     Graph,
     PatternSpec,
@@ -509,6 +509,22 @@ class TestForwardSoundness:
             assert is_pattern_free(g, planned) == free
         assert any(plan is not planned for plan in planned._plans.values())
 
+    def test_parts_failing_the_degree_filters_are_not_split(self, monkeypatch):
+        # every module of a flipped P7 gadget below its top quotient fails
+        # the pattern's degree filters, so only the whole host is split
+        inst = p7_gadget(PHI_53)
+        g = subgraph_complement(inst.graph, solution_from_assignment(inst, brute_sat(PHI_53, 2)))
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return matcher.modules_avoiding(*args)
+
+        monkeypatch.setattr(graphs, "modules_avoiding", counted)
+        assert is_pattern_free(g, make_pattern(PatternSpec.path(7)))
+        assert calls == [(1 << g.n) - 1]
+        assert not is_pattern_free(inst.graph, make_pattern(PatternSpec.path(7)))
+
 
 class TestInductiveEquivalence:
     def test_star_smallest(self):
@@ -608,3 +624,9 @@ class TestBuilder:
                 assert checked == g
                 assert checked.labels == g.labels
                 assert type(g.rows) is tuple
+                assert g.labels == tuple(
+                    f"{r.name}:{','.join(str(x) for x in r.index)}" for r in inst.roles)
+
+    def test_labels_escape_percent_signs(self):
+        roles = [Role("a%d", (1,)), Role("b", ()), Role("c%", (1, 2)), Role("b", (3,))]
+        assert gadgets._labels_from_roles(roles) == ("a%d:1", "b:", "c%:1,2", "b:3")

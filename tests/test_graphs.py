@@ -1122,6 +1122,9 @@ def g6_decode_bitwise(data):
         pos = 8
         if n <= 258047:
             raise MalformedG6("non-canonical size word", 2)
+    if n > MAX_JSON_VERTICES:
+        raise MalformedG6(f"n is {n}; at most {MAX_JSON_VERTICES} vertices are accepted",
+                          {4: 1, 8: 2}[pos])
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     if len(data) - pos != nbytes:
@@ -1183,6 +1186,10 @@ def _g6_corruptions():
     yield b"~~" + b"?" * 6
     yield b"~~??~~~~"
     yield b"~~" + b"???" + b"@??"
+    # vertex cap: n = 16,384 is accepted, 16,385 refused, and every
+    # canonical six-byte size word is above it
+    yield b"~C??"
+    yield b"~C?@"
 
 
 class TestGraph6:
@@ -1214,6 +1221,7 @@ class TestGraph6:
             ("truncated 6-byte", None),
             ("non-canonical size", 1),
             ("non-canonical size", 2),
+            ("n is", None),
         }
 
     def test_non_ascii_character_is_malformed(self):
@@ -1244,6 +1252,22 @@ class TestGraph6:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    def test_vertex_cap(self):
+        # the size word alone declares n; above the cap nothing of size n^2
+        # is allocated, and the error points at the size word
+        at_cap, above = b"~C??", b"~C?@"  # n = 16,384 and 16,385
+        with pytest.raises(MalformedG6) as err:
+            g6_decode(above)
+        assert err.value.offset == 1
+        assert str(err.value) == (
+            f"n is {MAX_JSON_VERTICES + 1}; at most {MAX_JSON_VERTICES} vertices"
+            " are accepted (byte offset 1)")
+        with pytest.raises(MalformedG6, match="adjacency bytes for n=16384"):
+            g6_decode(at_cap)
+        with pytest.raises(MalformedG6, match="at most") as err:
+            g6_decode(b"~~???~??")  # 258,048 vertices, the least six-byte n
+        assert err.value.offset == 2
 
     def test_encode_matches_bitwise_reference(self):
         for n in range(7):

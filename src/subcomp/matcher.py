@@ -112,26 +112,38 @@ def _search(steps, later, rows, doms, budget=-1, after=None):
 def least_clique(rows, within: int, size: int) -> Optional[int]:
     """The lexicographically least clique of the given size inside the mask
     `within`, in ascending vertex order, as a bitmask, or None. size=0 finds
-    the empty clique. Recursion goes one level per clique vertex."""
+    the empty clique. A pair is the lowest vertex with a higher neighbour in
+    the mask and its lowest such neighbour; larger cliques grow through
+    _least_clique_from, one recursion level per clique vertex."""
     if size == 0:
         return 0
     if size == 1:
         return (within & -within) or None
-
-    def grow(chosen: int, count: int, cand: int) -> Optional[int]:
-        if count == size:
-            return chosen
-        if count + cand.bit_count() < size:
-            return None
-        while cand:
-            vbit = cand & -cand
-            cand ^= vbit
-            got = grow(chosen | vbit, count + 1, cand & rows[vbit.bit_length() - 1])
-            if got is not None:
-                return got
+    if size == 2:
+        while within:
+            vbit = within & -within
+            within ^= vbit
+            nbrs = within & rows[vbit.bit_length() - 1]
+            if nbrs:
+                return vbit | (nbrs & -nbrs)
         return None
+    return _least_clique_from(rows, 0, size, within)
 
-    return grow(0, 0, within)
+
+def _least_clique_from(rows, chosen: int, need: int, cand: int) -> Optional[int]:
+    """chosen plus the least `need` (>= 1) vertices of cand that form a
+    clique, or None; every vertex of cand is adjacent to all of chosen."""
+    if cand.bit_count() < need:
+        return None
+    if need == 1:
+        return chosen | (cand & -cand)
+    while cand:
+        vbit = cand & -cand
+        cand ^= vbit
+        got = _least_clique_from(rows, chosen | vbit, need - 1, cand & rows[vbit.bit_length() - 1])
+        if got is not None:
+            return got
+    return None
 
 
 def greedy_colourable(rows, within: int, classes: int) -> bool:

@@ -298,6 +298,28 @@ def _region_lists(g: Graph, u: int, v: int, params, co_rows, memo: dict) -> Opti
     return lists
 
 
+def _rule_out_pairs(dead: list, w: int, sw: int) -> None:
+    """Set in dead[u], a bitmask over v, every pair u < v that the witness
+    (w, sw) rules out: w ⊆ {0..v} and w ∩ {u, v} = sw, so that each
+    candidate of the pair, with S ∩ {0..v} = {u, v}, agrees with it on w.
+    Such a v is above max(w) unless it is max(w) and in sw."""
+    top = w.bit_length() - 1
+    above = ((1 << len(dead)) - 1) >> (top + 1) << (top + 1)
+    count = sw.bit_count()
+    if count == 0:
+        for u in range(len(dead)):
+            if not (w >> u) & 1:
+                dead[u] |= above & -(2 << u)
+    elif count == 1:
+        dead[sw.bit_length() - 1] |= above
+        if sw >> top:
+            for u in range(top):
+                if not (w >> u) & 1:
+                    dead[u] |= sw
+    elif count == 2 and sw >> top:
+        dead[(sw & -sw).bit_length() - 1] |= 1 << top
+
+
 def _first_inside(w: int, decided: list) -> int:
     """The first level i >= 1 whose decided vertices hold all of w."""
     i = 1
@@ -333,12 +355,13 @@ def solve_kt_free(
     A pair is first decided on {0..v}, where every candidate has
     S ∩ {0..v} = {u, v}: it is pruned, before any split work, when a
     witness lies there and agrees, or when one search of that induced
-    subgraph finds a copy. The region partitions are then recombined depth
-    first, one region at a time, in the order of a product over the four
-    lists; a branch is cut when a witness lies inside {0..v} and the regions
-    decided so far and agrees with them. A candidate that survives gets one
-    K_t search of G ⊕ S, and a copy found there cuts the rest of the
-    smallest branch that decides it.
+    subgraph finds a copy. The first test is one bit of a table that each
+    witness marks when it is recorded (_rule_out_pairs). The region
+    partitions are then recombined depth first, one region at a time, in
+    the order of a product over the four lists; a branch is cut when a
+    witness lies inside {0..v} and the regions decided so far and agrees
+    with them. A candidate that survives gets one K_t search of G ⊕ S, and
+    a copy found there cuts the rest of the smallest branch that decides it.
 
     The recognizer decides membership in the target class (default: K_t-free,
     which that search decides). The region argument holds for any subclass
@@ -383,6 +406,7 @@ def solve_kt_free(
     memo = {}
     cap = max(cap, 0)
     witnesses = []  # (W, S ∩ W) as masks, one per K_t found
+    dead = [0] * n  # dead[u]: the v whose pair (u, v) some witness rules out
     lo, hi = max(t - 2, 1), t - 1
     # in _region_masks order: common, neither, u only, v only
     params = ((lo, hi), (hi, lo), (lo, lo), (lo, lo))
@@ -393,7 +417,7 @@ def solve_kt_free(
             low = (1 << (v + 1)) - 1  # every candidate has S ∩ low = uv
             lists = None
             # a witness inside low that agrees with uv there rules the pair out
-            if not any(not (w & ~low or (uv ^ sw) & w) for w, sw in witnesses):
+            if not (dead[u] >> v) & 1:
                 probe = list(rows)
                 probe[u] ^= 1 << v
                 probe[v] ^= 1 << u
@@ -402,6 +426,7 @@ def solve_kt_free(
                     lists = _region_lists(g, u, v, params, co_rows, memo)
                 else:
                     witnesses.append((w, uv & w))
+                    _rule_out_pairs(dead, w, uv & w)
             if lists is None:
                 pruned += 1
                 continue
@@ -448,6 +473,7 @@ def solve_kt_free(
                     level = _first_inside(w, decided)
                     cuts[level].append((w, s & w))
                     witnesses.append((w, s & w))
+                    _rule_out_pairs(dead, w, s & w)
                     # every later candidate that keeps choices 0..level-1 is cut
                     for j in range(level, 4):
                         examined += (sizes[j] - 1 - index[j]) * weight[j]

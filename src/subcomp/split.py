@@ -128,13 +128,15 @@ def _grow(rows, base: int, cand: int, size: int) -> list[int]:
     return out
 
 
-def _seed_q(rows, co_rows, region: int, p: int, q: int) -> Optional[int]:
+def _seed_q(rows, co_rows, region: int, p: int, q: int, forced: int = 0) -> Optional[int]:
     """Q side of the first (p, q)-split partition of the subgraph induced on
-    the mask `region`, or None when it has none.
+    the mask `region` whose Q side misses the mask `forced`, or None when it
+    has none.
 
     Branching on cliques: while the tentative P side still holds a K_{p+1},
-    one of its vertices must move to Q; branch over the p+1 choices, lowest
-    vertex first. The Q side is pruned as soon as it gains a
+    one of its vertices outside `forced` must move to Q; branch over those
+    choices, lowest vertex first, so a clique wholly in `forced` ends its
+    branch. The Q side is pruned as soon as it gains a
     (q+1)-independent set. The depth-first search runs on an explicit stack,
     so a deep branch (up to n levels) cannot exhaust the interpreter's
     recursion limit.
@@ -151,6 +153,7 @@ def _seed_q(rows, co_rows, region: int, p: int, q: int) -> Optional[int]:
         clique = least_clique(rows, region & ~qbits, p + 1)
         if clique is None:
             return qbits
+        clique &= ~forced
         branches = []
         while clique:
             vbit = clique & -clique
@@ -195,7 +198,7 @@ def region_q_sides(rows, co_rows, region: int, p: int, q: int, forced: int) -> l
     on the mask `region` with Q disjoint from `forced`, as host masks sorted
     by P side; empty when there is none. rows and co_rows are the host's
     adjacency rows and those of its complement."""
-    qbits = _seed_q(rows, co_rows, region, p, q)
+    qbits = _seed_q(rows, co_rows, region, p, q, forced)
     if qbits is None:
         return []
     return _exchanges(rows, co_rows, p, q, region & ~qbits, qbits, forced)

@@ -9,6 +9,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -344,6 +345,57 @@ class TestGenDigests:
             for ext in ("g6", "cert.json")
         )
         assert digests == self.DIGESTS[key, " ".join(argv)]
+
+
+class TestSolveDigests:
+    """solve output is a fixture too: per solve command, the sha256 digest
+    (first 16 hex digits) of its report lines with `elapsed` stripped, over
+    seeded G(n, p) hosts with n = 6-12 and p in {0.3, 0.5, 0.7}, or over one
+    fixed host. Every counter is pinned, so a speedup of a solver must keep
+    its reports byte for byte."""
+
+    HOSTS = {
+        "gnp": [(n, p) for n in range(6, 13) for p in (0.3, 0.5, 0.7)],
+        "gnp-small": [(n, p) for n in range(6, 10) for p in (0.3, 0.5, 0.7)],
+        "no-k3": None,
+    }
+    DIGESTS = {
+        ("gnp", "--target kt -t 2"): "79cbd2aef59cce2a",
+        ("gnp", "--target kt -t 3"): "507f83ddb1656e68",
+        ("gnp", "--target kt -t 4"): "2d06676d5aef6d9a",
+        ("gnp", "--target kt-bar -t 2"): "93593b7223b9f4a2",
+        ("gnp", "--target kt-bar -t 3"): "46daf75472a1173c",
+        ("gnp", "--target kt-bar -t 4"): "8ea9d32b1e9e20bd",
+        ("gnp", "--target kt -t 3 --recognizer degenerate"): "e63aaedf00496b0f",
+        ("gnp", "--target kt-bar -t 4 --recognizer degenerate"): "481dcd84f2db622d",
+        ("no-k3", "--target kt -t 3"): "36edaafde8891b85",
+        ("no-k3", "--target kt-bar -t 3"): "13627c88f8f0e910",
+        ("gnp-small", "--target pattern --pattern P4"): "017ed65c3591b929",
+        ("gnp-small", "--target pattern --pattern C4"): "3b6eb6f346324d43",
+        ("gnp-small", "--target pattern --pattern K3"): "569cc4ac12135a36",
+    }
+
+    @staticmethod
+    def host(n, p):
+        rng = random.Random(1000 * n + round(100 * p))
+        edges = [(a, b) for b in range(n) for a in range(b) if rng.random() < p]
+        return graph_from_edges(n, edges)
+
+    @pytest.mark.parametrize("hosts,argv", sorted(DIGESTS))
+    def test_digest(self, tmp_path, capsys, hosts, argv):
+        shapes = self.HOSTS[hosts]
+        if shapes is None:
+            graphs = [no_instance(make_pattern(PatternSpec.complete(3)))]
+        else:
+            graphs = [self.host(n, p) for n, p in shapes]
+        lines = []
+        for g in graphs:
+            code = main(["solve", *argv.split(), write_g6(tmp_path, g6_encode(g))])
+            report = last_json(capsys)
+            del report["stats"]["elapsed"]
+            lines.append(f"{code} {json.dumps(report)}\n")
+        digest = hashlib.sha256("".join(lines).encode()).hexdigest()[:16]
+        assert digest == self.DIGESTS[hosts, argv]
 
 
 class TestCertificateText:

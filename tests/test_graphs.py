@@ -319,11 +319,11 @@ class TestLeastClique:
     itertools.combinations reaches, by brute force."""
 
     @staticmethod
-    def check(g, withins):
+    def check(g, withins, sizes=None):
         n, rows = g.n, g.rows
         for within in withins:
             members = [v for v in range(n) if (within >> v) & 1]
-            for size in range(n + 2):
+            for size in sizes or range(n + 2):
                 want = next(
                     (sum(1 << v for v in c) for c in itertools.combinations(members, size)
                      if all(rows[a] >> b & 1 for a, b in itertools.combinations(c, 2))),
@@ -344,6 +344,21 @@ class TestLeastClique:
         rng = random.Random(6)
         for _ in range(60):
             self.check(random_graph(rng, 6), range(64))
+
+    def test_seeded_hosts_up_to_ten(self):
+        # sparse to dense hosts with n = 6-10 and random masks, where pairs
+        # and larger cliques have many candidates to pass over
+        rng = random.Random(10)
+        for _ in range(300):
+            n, p = rng.randint(6, 10), rng.choice((0.3, 0.5, 0.7, 0.9))
+            rows = [0] * n
+            for b in range(n):
+                for a in range(b):
+                    if rng.random() < p:
+                        rows[a] |= 1 << b
+                        rows[b] |= 1 << a
+            masks = [rng.getrandbits(n) | rng.getrandbits(n) for _ in range(8)] + [(1 << n) - 1]
+            self.check(Graph(n, rows), masks, range(6))
 
 
 def satisfies_constraints(pattern, mapping, rank=None):

@@ -25,6 +25,7 @@ from subcomp.graphs import (
 from subcomp.solvers import (
     SolveReport,
     _region_masks,
+    _rule_out_pairs,
     brute_solve,
     kt_free_recognizer,
     solve_complement_class,
@@ -495,6 +496,26 @@ class TestKtWitnesses:
         r = solve_kt_free(g, 4)
         assert r.status == brute_solve(g, Pattern(make_pattern(PatternSpec.complete(4)))).status == "No"
         assert r.stats["pairs_examined"] == 18 * 17 // 2
+
+
+class TestRuleOutPairs:
+    def test_exhaustive_up_to_seven(self):
+        # the bits set for a witness (W, S ∩ W) are exactly the pairs u < v
+        # with W ⊆ {0..v} and W ∩ {u, v} = S ∩ W, the scan they replace
+        for n in range(1, 8):
+            for w in range(1, 1 << n):
+                sw = w  # every subset of w, from w down to 0
+                while True:
+                    dead = [0] * n
+                    _rule_out_pairs(dead, w, sw)
+                    for u in range(n):
+                        assert dead[u] >> n == 0 and dead[u] & ((2 << u) - 1) == 0, (n, w, sw, u)
+                        for v in range(u + 1, n):
+                            want = not w >> (v + 1) and w & ((1 << u) | (1 << v)) == sw
+                            assert (dead[u] >> v) & 1 == want, (n, w, sw, u, v)
+                    if not sw:
+                        break
+                    sw = (sw - 1) & w
 
 
 class TestComplementClass:

@@ -13,6 +13,7 @@ from subcomp.solvers import _region_masks
 from subcomp.split import (
     RamseyBound,
     SplitPartition,
+    _seed_q,
     enumerate_split_partitions,
     find_split_partition,
     is_split_partition,
@@ -321,6 +322,32 @@ class TestEnumerate:
                     for qb in _exchange_sweep(sub, p, q, seed, local):
                         want.append(sum(1 << verts[j] for j in VertexSet(qb, sub.n).members()))
                 assert got == want, (g.rows, u, v, mask, p, q)
+
+    def test_seed_keeps_forced_vertices_on_p(self):
+        """_seed_q with a forced mask finds a partition exactly when one has
+        Q ∩ forced = ∅, and then returns a valid one: every graph with
+        n <= 5, every forced mask, (p, q) in {1, 2, 3}^2. The reference
+        reads clique and independence numbers off a table over all subsets."""
+        for n in range(6):
+            full = (1 << n) - 1
+            for g in all_graphs(n):
+                co_rows = complement(g).rows
+                omega, alpha = [0] * (1 << n), [0] * (1 << n)
+                for m in range(1, 1 << n):
+                    v = (m & -m).bit_length() - 1
+                    rest = m & (m - 1)
+                    omega[m] = max(omega[rest], 1 + omega[rest & g.rows[v]])
+                    alpha[m] = max(alpha[rest], 1 + alpha[rest & co_rows[v]])
+                for p, q in itertools.product((1, 2, 3), repeat=2):
+                    valid = [pb for pb in range(1 << n)
+                             if omega[pb] <= p and alpha[full ^ pb] <= q]
+                    for forced in range(1 << n):
+                        qbits = _seed_q(g.rows, co_rows, full, p, q, forced)
+                        exists = any(pb & forced == forced for pb in valid)
+                        assert (qbits is not None) == exists, (g.rows, p, q, forced)
+                        if qbits is not None:
+                            assert qbits & forced == 0
+                            assert is_split_partition(g, p, q, full ^ qbits, qbits, co_rows)
 
     def test_enumeration_is_seed_independent(self):
         # growing from any valid partition must reach the same set

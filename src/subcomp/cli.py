@@ -6,7 +6,7 @@ tables) so the output can feed scripts directly. Exit codes:
 * solve: 0 = Yes, 1 = No, 2 = Unknown
 * verify: 0 = all checks passed, 3 = counterexample found
 * 64 = usage error, 65 = bad input data or construction precondition,
-  66 = missing input file
+  66 = an input or output path that cannot be opened
 """
 
 from __future__ import annotations
@@ -154,7 +154,9 @@ def cmd_solve(args) -> int:
         pattern = make_pattern(parse_pattern_token(args.pattern))
         report = brute_solve(g, pattern, cap=args.budget)
     else:
-        t = args.t
+        # an n-vertex graph holds no K_t and no co-K_t with t > n, so every
+        # such t answers as t = n + 1 does; the clamp keeps the pattern small
+        t = min(args.t, max(g.n + 1, 2))
         recognizer = _degenerate_recognizer(t) if args.recognizer == "degenerate" else None
 
         def base(h: Graph) -> SolveReport:
@@ -337,8 +339,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return EXIT_DATA
-    except FileNotFoundError as exc:
-        print(json.dumps({"error": "FileNotFoundError", "message": str(exc)}),
+    except OSError as exc:
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return EXIT_NOINPUT
 

@@ -113,25 +113,14 @@ class _Builder:
         for v in range(start, start + k):
             rows[v] |= full ^ (1 << v)
 
-    def finish(self, roles: list[Role]) -> Graph:
+    def finish(self) -> Graph:
         # every edge was set in both rows and never on a vertex itself
-        return Graph._unchecked(self.n, tuple(self.rows), _labels_from_roles(roles))
+        return Graph._unchecked(self.n, tuple(self.rows))
 
 
 def _roles(name: str, prefix: tuple, k: int) -> list[Role]:
     """Roles of a k-vertex block: the prefix followed by the slot."""
     return [Role._make((name, (*prefix, j))) for j in range(k)]
-
-
-def _labels_from_roles(roles: list[Role]) -> tuple[str, ...]:
-    """"name:i,j,..." per vertex, from one % template per role name and
-    number of indices."""
-    templates = {}
-    for name, index in roles:
-        key = name, len(index)
-        if key not in templates:
-            templates[key] = name.replace("%", "%%") + ":" + ",".join(["%s"] * len(index))
-    return tuple([templates[name, len(index)] % index for name, index in roles])
 
 
 def _inductive(gprime: Graph, t: int, kind: str) -> GadgetInstance:
@@ -159,7 +148,7 @@ def _inductive(gprime: Graph, t: int, kind: str) -> GadgetInstance:
         if kind == CYCLE_INDUCTIVE:
             b.add(own, blocks ^ own)
         roles += _roles("block", (u,), block_size)
-    graph = b.finish(roles)
+    graph = b.finish()
     return GadgetInstance(graph, kind, roles, {"t": t, "source": gprime})
 
 
@@ -237,7 +226,7 @@ def k15_gadget(phi: CnfFormula, add_dummy_clause: bool = False) -> GadgetInstanc
             b.join(1 << _lit(*_literal_vertex(litval)), verts)
     b.clique(22 * n, 5 * m)
 
-    graph = b.finish(roles)
+    graph = b.finish()
     params = {"phi": phi, "dummy_clause_added": add_dummy_clause}
     return GadgetInstance(graph, K15, roles, params)
 
@@ -297,7 +286,7 @@ def _p_gadget(phi: CnfFormula, block_size: int) -> GadgetInstance:
             roles += _roles("clause_pair", (i, s, t_), block_size)
             start += block_size
 
-    graph = b.finish(roles)
+    graph = b.finish()
     kind = P8 if block_size == 8 else P7
     return GadgetInstance(graph, kind, roles, {"phi": phi})
 
@@ -349,7 +338,7 @@ def c8_gadget(phi: CnfFormula) -> GadgetInstance:
             roles += _roles("clause_pair", (i, s, t_), 8)
             start += 8
 
-    graph = b.finish(roles)
+    graph = b.finish()
     return GadgetInstance(graph, C8, roles, {"phi": phi})
 
 

@@ -31,26 +31,16 @@ from .matcher import (
 from .values import Frozen
 
 
-def _checked_labels(labels, n: int):
-    if labels is None:
-        return None
-    labels = tuple(labels)
-    if len(labels) != n:
-        raise ValueError(f"expected {n} labels, one per vertex, got {len(labels)}")
-    return labels
-
-
 class Graph(Frozen):
     """Undirected simple graph on vertices 0..n-1 with bitrow adjacency.
 
     rows[v] has bit u set iff uv is an edge; rows are symmetric and
-    irreflexive. labels, when present, annotate vertices (gadget generators
-    use them for roles) and do not take part in equality.
+    irreflexive.
     """
 
-    __slots__ = ("n", "rows", "labels")
+    __slots__ = ("n", "rows")
 
-    def __init__(self, n: int, rows: Iterable[int], labels=None):
+    def __init__(self, n: int, rows: Iterable[int]):
         rows = tuple(rows)
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
@@ -71,19 +61,14 @@ class Graph(Frozen):
                     raise ValueError(f"adjacency not symmetric at ({u}, {v})")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "labels", _checked_labels(labels, n))
 
     # Internal constructor for operations that guarantee the invariants.
     @classmethod
-    def _unchecked(cls, n: int, rows: tuple, labels=None) -> "Graph":
+    def _unchecked(cls, n: int, rows: tuple) -> "Graph":
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "rows", rows)
-        object.__setattr__(g, "labels", labels)
         return g
-
-    def _key(self) -> tuple:
-        return (self.n, self.rows)
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.rows[u] >> v) & 1)
@@ -237,7 +222,7 @@ def make_pattern(spec: PatternSpec) -> Graph:
     raise InvalidPattern(f"unknown pattern kind {kind!r}")
 
 
-def graph_from_edges(n: int, edges: Iterable[tuple[int, int]], labels=None) -> Graph:
+def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     rows = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -246,13 +231,13 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]], labels=None) -> G
             raise ValueError(f"self-loop at vertex {u}")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return Graph._unchecked(n, tuple(rows), _checked_labels(labels, n))
+    return Graph._unchecked(n, tuple(rows))
 
 
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
     rows = tuple((full ^ row ^ (1 << v)) for v, row in enumerate(g.rows))
-    return Graph._unchecked(g.n, rows, g.labels)
+    return Graph._unchecked(g.n, rows)
 
 
 def subgraph_complement(g: Graph, s: VertexSet) -> Graph:
@@ -267,7 +252,7 @@ def subgraph_complement(g: Graph, s: VertexSet) -> Graph:
         (row ^ (mask & ~(1 << v))) if (mask >> v) & 1 else row
         for v, row in enumerate(g.rows)
     )
-    return Graph._unchecked(g.n, rows, g.labels)
+    return Graph._unchecked(g.n, rows)
 
 
 def induced(g: Graph, s: VertexSet) -> Graph:
@@ -283,16 +268,12 @@ def induced(g: Graph, s: VertexSet) -> Graph:
             if (grow >> w) & 1:
                 row |= 1 << j
         rows.append(row)
-    labels = tuple(g.labels[u] for u in verts) if g.labels is not None else None
-    return Graph._unchecked(len(verts), tuple(rows), labels)
+    return Graph._unchecked(len(verts), tuple(rows))
 
 
 def disjoint_union(a: Graph, b: Graph) -> Graph:
     rows = list(a.rows) + [row << a.n for row in b.rows]
-    labels = None
-    if a.labels is not None and b.labels is not None:
-        labels = a.labels + b.labels
-    return Graph._unchecked(a.n + b.n, tuple(rows), labels)
+    return Graph._unchecked(a.n + b.n, tuple(rows))
 
 
 def cross_product(a: Graph, b: Graph) -> Graph:
@@ -561,10 +542,7 @@ def g6_decode(data: bytes) -> Graph:
 
 
 def graph_to_json(g: Graph) -> str:
-    doc: dict = {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
-    if g.labels is not None:
-        doc["labels"] = list(g.labels)
-    return json.dumps(doc)
+    return json.dumps({"n": g.n, "edges": [[u, v] for u, v in g.edges()]})
 
 
 # Largest vertex count graph_from_json and g6_decode accept. Both allocate
@@ -582,8 +560,8 @@ def _is_int(x) -> bool:
 def graph_from_json(text: str) -> Graph:
     """Parse the JSON graph form. `n` must be an integer in
     0..MAX_JSON_VERTICES, `edges` a list of distinct integer pairs, and
-    `labels`, when present and not null, a list of exactly n strings.
-    Violations raise ValueError."""
+    `labels`, when present and not null, a list of exactly n strings, which
+    is checked and then dropped. Violations raise ValueError."""
     doc = json.loads(text)
     if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
         raise ValueError("graph JSON needs 'n' and 'edges' fields")
@@ -609,7 +587,8 @@ def graph_from_json(text: str) -> Graph:
         edges.append((u, v))
     labels = doc.get("labels")
     if labels is not None and not (
-        isinstance(labels, list) and all(isinstance(x, str) for x in labels)
+        isinstance(labels, list) and len(labels) == n
+        and all(isinstance(x, str) for x in labels)
     ):
-        raise ValueError("'labels' must be a list of strings")
-    return graph_from_edges(n, edges, labels)
+        raise ValueError(f"'labels' must be a list of {n} strings, one per vertex")
+    return graph_from_edges(n, edges)

@@ -25,9 +25,11 @@ from subcomp.graphs import (
     g6_decode,
     g6_encode,
     graph_from_edges,
+    is_pattern_free,
     make_pattern,
     no_instance,
 )
+from subcomp.solvers import brute_solve, solve_complement_class, solve_kt_free
 
 C5_G6 = g6_encode(make_pattern(PatternSpec.cycle(5)))
 P3_G6 = g6_encode(make_pattern(PatternSpec.path(3)))
@@ -193,6 +195,68 @@ class TestSolve:
     def test_missing_file_exits_66(self, tmp_path, capsys):
         code = main(["solve", "--target", "kt", "-t", "3", str(tmp_path / "nope.g6")])
         assert code == 66
+        assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"
+        # a directory cannot be opened as a file, as input or as output
+        code = main(["solve", "--target", "kt", "-t", "3", str(tmp_path)])
+        assert code == 66
+        assert json.loads(capsys.readouterr().err)["error"] == "IsADirectoryError"
+        src = write_g6(tmp_path, C5_G6)
+        code = main(["convert", "--from", "g6", "--to", "json", "-o", str(tmp_path), src])
+        assert code == 66
+        assert json.loads(capsys.readouterr().err)["error"] == "IsADirectoryError"
+
+    def test_t_above_n_answers_as_the_solvers_do(self, tmp_path, capsys):
+        # the CLI clamps t to max(n + 1, 2); its reports must equal those of
+        # the solvers called with the unclamped t, on every graph with n <= 4
+        def unclamped(g, t, target, brute, degenerate):
+            recognizer = cli._degenerate_recognizer(t) if degenerate else None
+
+            def base(h):
+                if brute:
+                    return brute_solve(h, make_pattern(PatternSpec.complete(t)))
+                return solve_kt_free(h, t, recognizer=recognizer)
+
+            if target == "kt":
+                return base(g)
+            co_target = make_pattern(PatternSpec.empty(t))
+            return solve_complement_class(
+                g, base, bar_recognizer=lambda h: is_pattern_free(h, co_target))
+
+        modes = [([], False, False), (["--recognizer", "degenerate"], False, True),
+                 (["--brute"], True, False)]
+        for n in range(5):
+            pairs = [(a, b) for b in range(n) for a in range(b)]
+            for mask in range(1 << len(pairs)):
+                g = graph_from_edges(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+                path = write_g6(tmp_path, g6_encode(g))
+                for t in range(n + 1, n + 5):
+                    for target in ("kt", "kt-bar"):
+                        for flags, brute, degenerate in modes:
+                            code = main(["solve", "--target", target, "-t", str(t),
+                                         *flags, path])
+                            got = last_json(capsys)
+                            want = unclamped(g, t, target, brute, degenerate).to_json()
+                            del got["stats"]["elapsed"], want["stats"]["elapsed"]
+                            assert (code, got) == (0, want), (g.edges(), t, target, flags)
+
+    def test_large_t_builds_no_large_pattern(self, tmp_path, capsys, monkeypatch):
+        # a spy on the pattern specs; it refuses a large order before the
+        # pattern's t rows of t bits are built
+        sizes = []
+        for name in ("complete", "empty"):
+            def spy(cls, t, build=getattr(PatternSpec, name)):
+                sizes.append(t)
+                assert t <= 4, f"pattern of order {t} requested"
+                return build(t)
+
+            monkeypatch.setattr(PatternSpec, name, classmethod(spy))
+        path = write_g6(tmp_path, P3_G6)
+        for target in ("kt", "kt-bar"):
+            for flags in ([], ["--brute"]):
+                code = main(["solve", "--target", target, "-t", "100000", *flags, path])
+                assert code == 0
+                assert last_json(capsys)["solution"] == []
+        assert sizes
 
     def test_malformed_g6_exits_65_with_offset(self, tmp_path, capsys):
         path = tmp_path / "bad.g6"
@@ -520,6 +584,12 @@ class TestConvert:
         assert main(["convert", "--from", "json", "--to", "g6",
                      "-o", str(tmp_path / "back.g6"), str(tmp_path / "g.json")]) == 0
         assert (tmp_path / "back.g6").read_bytes().strip() == C5_G6
+
+    def test_input_labels_are_dropped(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"n": 2, "edges": [[0, 1]], "labels": ["a", "b"]}))
+        assert main(["convert", "--from", "json", "--to", "json", str(path)]) == 0
+        assert capsys.readouterr().out == '{"n": 2, "edges": [[0, 1]]}\n'
 
     def test_stdout_default(self, tmp_path, capsys):
         src = write_g6(tmp_path, P3_G6)

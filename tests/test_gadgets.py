@@ -13,7 +13,6 @@ import pytest
 from subcomp.errors import InvalidT, KindMismatch, NotSatisfying, WrongWidth
 from subcomp.gadgets import (
     GadgetInstance,
-    Role,
     assignment_from_solution,
     c8_gadget,
     certificate_json,
@@ -26,7 +25,7 @@ from subcomp.gadgets import (
     solution_from_assignment,
     star_inductive,
 )
-from subcomp import gadgets, graphs, matcher
+from subcomp import graphs, matcher
 from subcomp.graphs import (
     Graph,
     PatternSpec,
@@ -361,11 +360,6 @@ class TestSatGadgetShape:
             assert len(inst.roles) == inst.graph.n
             assert len(set(inst.roles)) == inst.graph.n
 
-    def test_labels_mirror_roles(self):
-        inst = k15_gadget(PHI_41)
-        assert inst.graph.labels[0] == "literal:1,0"
-        assert inst.graph.labels[-1] == "clause:1,4"
-
     def test_dummy_clause_flag(self):
         inst = k15_gadget(PHI_41, add_dummy_clause=True)
         phi = inst.params["phi"]
@@ -620,13 +614,6 @@ class TestBuilder:
                 cycle_inductive(source, 4),
             ):
                 g = inst.graph
-                checked = Graph(g.n, g.rows, g.labels)
+                checked = Graph(g.n, g.rows)
                 assert checked == g
-                assert checked.labels == g.labels
                 assert type(g.rows) is tuple
-                assert g.labels == tuple(
-                    f"{r.name}:{','.join(str(x) for x in r.index)}" for r in inst.roles)
-
-    def test_labels_escape_percent_signs(self):
-        roles = [Role("a%d", (1,)), Role("b", ()), Role("c%", (1, 2)), Role("b", (3,))]
-        assert gadgets._labels_from_roles(roles) == ("a%d:1", "b:", "c%:1,2", "b:3")

@@ -90,19 +90,6 @@ class TestConstruction:
         with pytest.raises(ValueError, match="outside"):
             Graph(2, [0b100, 0b000])
 
-    def test_labels_are_metadata_only(self):
-        a = graph_from_edges(2, [(0, 1)], labels=["x", "y"])
-        b = graph_from_edges(2, [(0, 1)])
-        assert a == b
-        assert hash(a) == hash(b)
-        assert a.labels == ("x", "y")
-
-    def test_graph_from_edges_checks_label_count(self):
-        with pytest.raises(ValueError, match="labels"):
-            graph_from_edges(3, [(0, 1)], labels=["a"])
-        with pytest.raises(ValueError, match="labels"):
-            Graph(2, [0b10, 0b01], labels=["a", "b", "c"])
-
     def test_null_graph_is_legal(self):
         g = Graph(0, [])
         assert g.n == 0
@@ -202,11 +189,6 @@ class TestCombinators:
         sub = induced(p5, VertexSet.from_members([0, 2, 3], 5))
         assert sub.n == 3
         assert sub.edges() == [(1, 2)]
-
-    def test_induced_slices_labels(self):
-        g = graph_from_edges(3, [(0, 1)], labels=["a", "b", "c"])
-        sub = induced(g, VertexSet.from_members([0, 2], 3))
-        assert sub.labels == ("a", "c")
 
     @given(graphs_with_subset())
     def test_induced_edge_membership(self, gs):
@@ -1361,10 +1343,6 @@ class TestJson:
     def test_round_trip(self, g):
         assert graph_from_json(graph_to_json(g)) == g
 
-    def test_labels_survive(self):
-        g = graph_from_edges(2, [(0, 1)], labels=["u", "v"])
-        assert graph_from_json(graph_to_json(g)).labels == ("u", "v")
-
     @pytest.mark.parametrize(
         "text",
         [
@@ -1403,7 +1381,7 @@ class TestJson:
                 graph_from_json(f'{{"n": {n}, "edges": []}}')
 
     def test_null_labels_mean_none(self):
-        assert graph_from_json('{"n": 1, "edges": [], "labels": null}').labels is None
+        assert graph_from_json('{"n": 1, "edges": [], "labels": null}') == Graph(1, [0])
 
 
 def test_public_surface():

@@ -414,14 +414,16 @@ class TestGenDigests:
 class TestSolveDigests:
     """solve output is a fixture too: per solve command, the sha256 digest
     (first 16 hex digits) of its report lines with `elapsed` stripped, over
-    seeded G(n, p) hosts with n = 6-12 and p in {0.3, 0.5, 0.7}, or over one
-    fixed host. Every counter is pinned, so a speedup of a solver must keep
-    its reports byte for byte."""
+    seeded G(n, p) hosts with n = 6-12 and p in {0.3, 0.5, 0.7}, over seeded
+    G(n, 1/2) with n = 9-13, or over one fixed host. Every counter is pinned,
+    so a speedup of a solver must keep its reports byte for byte."""
 
     HOSTS = {
         "gnp": [(n, p) for n in range(6, 13) for p in (0.3, 0.5, 0.7)],
         "gnp-small": [(n, p) for n in range(6, 10) for p in (0.3, 0.5, 0.7)],
-        "no-k3": None,
+        "gnp-half": [(n, 0.5) for n in range(9, 14)],
+        "no-k3": PatternSpec.complete(3),
+        "no-p3": PatternSpec.path(3),
     }
     DIGESTS = {
         ("gnp", "--target kt -t 2"): "79cbd2aef59cce2a",
@@ -437,6 +439,17 @@ class TestSolveDigests:
         ("gnp-small", "--target pattern --pattern P4"): "017ed65c3591b929",
         ("gnp-small", "--target pattern --pattern C4"): "3b6eb6f346324d43",
         ("gnp-small", "--target pattern --pattern K3"): "569cc4ac12135a36",
+        ("gnp-small", "--target kt-bar -t 3 --brute"): "b357f60bbcac4344",
+        ("gnp-half", "--target pattern --pattern P4"): "83091e785406f503",
+        ("gnp-half", "--target pattern --pattern P5"): "64e860470bbf2d06",
+        ("gnp-half", "--target pattern --pattern C4"): "5d65e44af89b93bb",
+        ("gnp-half", "--target pattern --pattern C5"): "090e6a54b985c09d",
+        ("gnp-half", "--target pattern --pattern K3"): "2246664156fac309",
+        ("gnp-half", "--target pattern --pattern E3"): "27a63cdf71788ac3",
+        ("gnp-half", "--target pattern --pattern K1,3"): "c0b1d8e2dba7f416",
+        ("gnp-half", "--target pattern --pattern co-C6"): "91cee85dcea8f119",
+        ("gnp-half", "--target pattern --pattern co-P4"): "9f827b17eb1c6ddc",
+        ("no-p3", "--target pattern --pattern P3"): "d3aa2cfe6a28dc15",
     }
 
     @staticmethod
@@ -448,8 +461,8 @@ class TestSolveDigests:
     @pytest.mark.parametrize("hosts,argv", sorted(DIGESTS))
     def test_digest(self, tmp_path, capsys, hosts, argv):
         shapes = self.HOSTS[hosts]
-        if shapes is None:
-            graphs = [no_instance(make_pattern(PatternSpec.complete(3)))]
+        if isinstance(shapes, PatternSpec):
+            graphs = [no_instance(make_pattern(shapes))]
         else:
             graphs = [self.host(n, p) for n, p in shapes]
         lines = []

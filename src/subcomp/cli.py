@@ -150,13 +150,19 @@ def cmd_solve(args) -> int:
     if args.budget < 1:
         raise SubcompError(f"budget must be at least 1, got {args.budget}")
     g = _read_graph(args.input)
+    # an n-vertex graph holds no pattern of more than n vertices, so every
+    # larger pattern answers as one of order max(n + 1, 2) does (on the null
+    # graph a single vertex has its own answer); the clamps keep patterns
+    # small. make_pattern refuses no token of order above 2, so clamping
+    # --pattern hides none of its errors
+    top = max(g.n + 1, 2)
     if args.target == "pattern":
-        pattern = make_pattern(parse_pattern_token(args.pattern))
-        report = brute_solve(g, pattern, cap=args.budget)
+        spec = parse_pattern_token(args.pattern)
+        if spec.order > top:
+            spec = PatternSpec.complete(top)
+        report = brute_solve(g, make_pattern(spec), cap=args.budget)
     else:
-        # an n-vertex graph holds no K_t and no co-K_t with t > n, so every
-        # such t answers as t = n + 1 does; the clamp keeps the pattern small
-        t = min(args.t, max(g.n + 1, 2))
+        t = min(args.t, top)
         recognizer = _degenerate_recognizer(t) if args.recognizer == "degenerate" else None
 
         def base(h: Graph) -> SolveReport:

@@ -185,6 +185,13 @@ class PatternSpec(Frozen):
     def complement_of(cls, inner: "PatternSpec") -> "PatternSpec":
         return cls(cls.COMPLEMENT, 0, inner)
 
+    @property
+    def order(self) -> int:
+        """The vertex count of the pattern make_pattern builds."""
+        if self.kind == self.COMPLEMENT:
+            return self.inner.order
+        return self.size + 1 if self.kind == self.STAR else self.size
+
     def __repr__(self) -> str:
         if self.kind == self.COMPLEMENT:
             return f"PatternSpec.complement_of({self.inner!r})"

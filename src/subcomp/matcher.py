@@ -6,9 +6,12 @@ symmetry-breaking constraints from the pattern's automorphisms, whether the
 pattern is prime, the plan for peeling its universal and isolated vertices,
 and the order a decision places its vertices in at each host density.
 `prepared` shares one Pattern among all callers with equal pattern graphs.
-The search is a depth-first walk over bitmask domains on an explicit
-stack. `modules_avoiding` splits a host into modules, which a decision for
-a prime pattern can skip. `least_clique` is the one clique search the split
+`Pattern.embed` finds the least embedding with a kernel compiled for the
+pattern (see _kernel), on the host complemented on any vertex mask without
+building that graph. The budgeted searches of the pattern's automorphisms
+and a decision's ranked search are a depth-first walk over bitmask domains
+on an explicit stack (_search). `modules_avoiding` splits a host into
+modules, which a decision for a prime pattern can skip. `least_clique` is the one clique search the split
 core, the K_t solver and a peeled decision share; `greedy_colourable` is
 the bound a peeled decision tries before it.
 """
@@ -37,6 +40,12 @@ _PLAN_ORDER = 32
 # pattern order. Patterns too large for one search to finish within it keep
 # only the constraints their twins give.
 _ORBIT_WORK = 1 << 16
+
+# Largest pattern order `Pattern.embed` compiles a kernel for (see _kernel).
+# A kernel nests one loop per pattern vertex but the last, and CPython
+# refuses to compile more than 20 nested blocks. Larger patterns search a
+# flipped copy of the host with _search.
+_KERNEL_ORDER = 20
 
 # Largest pattern order a decision peels. The clique search that closes a
 # peel recurses once per vertex of what is left, at most the pattern's
@@ -107,6 +116,72 @@ def _search(steps, later, rows, doms, budget=-1, after=None):
             j += 1
             cands[j] = nxt[0]
             stack[j] = nxt[1:]
+
+
+def _kernel(steps, needs):
+    """Compile the least-embedding search of one pattern into a function
+    kernel(rows, flip, within). It returns the embedding that _search finds
+    from Pattern._domains on the host with bitrows `rows` complemented on
+    the mask flip, without building that host.
+
+    Pattern vertex k gets one loop over its domain, lowest host vertex
+    first, nested in the loop of vertex k - 1. The domain is computed when
+    the search reaches k: within, cut to each earlier vertex j's neighbours
+    or non-neighbours as steps[j] says, and to the vertices above j's when
+    k is in later[j]. A placed vertex's row is flipped in place when the
+    vertex is in flip, and the vertex must pass its degree filter, needs[k]
+    = (deg, non), inside within. Placements are tried in _search's order,
+    and only those that cannot extend to an embedding are skipped, so the
+    kernel returns the same least embedding. The last vertex takes the
+    lowest member of its domain. The source holds generated names and
+    integers only."""
+    hn = len(needs)
+    last = hn - 1
+    # z{j}, the non-neighbours of j inside within, is built only when used
+    apart = [any(not s & 1 for s in steps[j]) for j in range(hn)]
+    out = ["def kernel(rows, flip, within):",
+           "    nw = within.bit_count()",
+           f"    if nw < {hn}:",
+           "        return None"]
+    out += [f"    u{non} = nw - {non}" for non in sorted({non for _, non in needs[:last] if non})]
+    out.append("    d0 = within")
+
+    def domain(k):
+        terms = []
+        for j in range(k):
+            s = steps[j][k - j - 1]
+            terms.append(f"a{j}" if s & 1 else f"z{j}")
+            # k above i above j, for an i between them, puts k above j
+            if s & 2 and not any(steps[j][i - j - 1] & steps[i][k - i - 1] & 2
+                                 for i in range(j + 1, k)):
+                terms.append(f"-(b{j} << 1)")
+        return " & ".join(terms)
+
+    for k in range(last):
+        pad = "    " * (k + 1)
+        deg, non = needs[k]
+        out += [f"{pad}while d{k}:",
+                f"{pad}    b{k} = d{k} & -d{k}",
+                f"{pad}    d{k} ^= b{k}",
+                f"{pad}    a{k} = rows[b{k}.bit_length() - 1]",
+                f"{pad}    if flip & b{k}:",
+                f"{pad}        a{k} ^= flip ^ b{k}",
+                f"{pad}    a{k} &= within"]
+        if deg or non:
+            test = (f"{deg} <= " if deg else "") + f"a{k}.bit_count()" + (f" < u{non}" if non else "")
+            out += [f"{pad}    if not {test}:",
+                    f"{pad}        continue"]
+        if apart[k]:
+            out.append(f"{pad}    z{k} = within ^ a{k} ^ b{k}")
+        out.append(f"{pad}    d{k + 1} = {domain(k + 1)}")
+    pad = "    " * hn
+    xs = "".join(f"b{k}.bit_length() - 1, " for k in range(last))
+    out += [f"{pad}if d{last}:",
+            f"{pad}    return ({xs}(d{last} & -d{last}).bit_length() - 1,)"]
+    out.append("    return None")
+    namespace = {}
+    exec(compile("\n".join(out), "<pattern kernel>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 def least_clique(rows, within: int, size: int) -> Optional[int]:
@@ -508,14 +583,14 @@ class Pattern(Frozen):
     under which a freeness test reaches each induced copy through one
     embedding. The constraints and the search's selector table take
     O(h^2) bits, so the first search that needs them builds them; a pattern
-    larger than every host it meets never pays for them. The twin classes,
-    the prime flag, the peel plan, the automorphisms and the search orders
-    of decisions are also built on first use. Equality compares the graph
-    alone; the rest derives from it.
+    larger than every host it meets never pays for them. The embedding
+    kernel, the twin classes, the prime flag, the peel plan, the
+    automorphisms and the search orders of decisions are also built on
+    first use. Equality compares the graph alone; the rest derives from it.
     """
 
     __slots__ = ("graph", "_needs", "_need_of", "_later", "_steps", "_twins", "_prime",
-                 "_peel", "_auts", "_plans")
+                 "_peel", "_auts", "_plans", "_embed")
 
     def __init__(self, h: Graph):
         if h.n < 1:
@@ -525,7 +600,7 @@ class Pattern(Frozen):
         object.__setattr__(self, "graph", h)
         object.__setattr__(self, "_needs", needs)
         object.__setattr__(self, "_need_of", tuple(needs.index(p) for p in per_vertex))
-        for name in ("_later", "_steps", "_twins", "_prime", "_peel", "_auts", "_plans"):
+        for name in ("_later", "_steps", "_twins", "_prime", "_peel", "_auts", "_plans", "_embed"):
             object.__setattr__(self, name, None)
 
     def _key(self) -> tuple:
@@ -587,17 +662,30 @@ class Pattern(Frozen):
             self._plans[tenths] = plan
         return plan
 
-    def embed(self, rows, *, within: Optional[int] = None) -> Optional[tuple[int, ...]]:
+    def embed(self, rows, *, within: Optional[int] = None,
+              flip: int = 0) -> Optional[tuple[int, ...]]:
         """An induced embedding of the pattern into the host graph with
-        adjacency bitrows `rows`, or None; with within, into the host's
-        induced subgraph on that mask.
+        adjacency bitrows `rows`, complemented on the vertex mask flip, or
+        None; with within, into that graph's induced subgraph on the mask.
 
         Only embeddings that satisfy the orbit constraints count, one per
         induced copy (at least one where the work cap cut the constraints
         short), which is all a decision or a witness needs; the search
-        returns the lexicographically least of them."""
-        doms = self._domains(rows, (1 << len(rows)) - 1 if within is None else within)
-        return None if doms is None else _search(self._steps, self._later, rows, doms)[0]
+        returns the lexicographically least of them. A pattern of at most
+        _KERNEL_ORDER vertices runs its compiled kernel, built by the first
+        call; a larger one searches a flipped copy of the rows."""
+        if within is None:
+            within = (1 << len(rows)) - 1
+        if self.graph.n > _KERNEL_ORDER:
+            if flip:
+                rows = [row ^ flip ^ 1 << v if flip >> v & 1 else row for v, row in enumerate(rows)]
+            doms = self._domains(rows, within)
+            return None if doms is None else _search(self._steps, self._later, rows, doms)[0]
+        if self._embed is None:
+            self._constraints()  # builds _steps on first use
+            needs = tuple(self._needs[i] for i in self._need_of)
+            object.__setattr__(self, "_embed", _kernel(self._steps, needs))
+        return self._embed(rows, flip, within)
 
     def _occurs_within(self, rows, within: int) -> bool:
         """Does the host's induced subgraph on the mask within hold a copy?

@@ -126,8 +126,8 @@ def brute_solve(g: Graph, h: Graph | Pattern, cap: int = DEFAULT_SUBSET_CAP) -> 
     found on W for S is still there for every S' with S' ∩ W = S ∩ W. Each
     copy found is kept as a witness (W, S ∩ W); a subset that matches a
     witness is rejected without a search, and every other subset gets a full
-    search of its flipped rows. A Yes therefore always comes from a search
-    that found no copy.
+    search of g ⊕ S, which Pattern.embed runs on g's rows without building
+    g ⊕ S. A Yes therefore always comes from a search that found no copy.
 
     Rejected subsets are counted in blocks, not one by one. For each size
     k, a depth-first search decides the vertices at or above WINDOW from
@@ -185,11 +185,7 @@ def brute_solve(g: Graph, h: Graph | Pattern, cap: int = DEFAULT_SUBSET_CAP) -> 
         """Search g ⊕ mask; keep the copy found as a witness, None if none."""
         nonlocal searches
         searches += 1
-        flipped = [
-            row ^ mask ^ (1 << v) if (mask >> v) & 1 else row
-            for v, row in enumerate(rows)
-        ]
-        copy = pattern.embed(flipped)
+        copy = pattern.embed(rows, flip=mask)
         if copy is None:
             return None
         w = 0

@@ -258,6 +258,55 @@ class TestSolve:
                 assert last_json(capsys)["solution"] == []
         assert sizes
 
+    @staticmethod
+    def tokens_of_order(m):
+        """Every --pattern token of order m, complements included."""
+        plain = [f"K{m}", f"E{m}", f"P{m}"] + ([f"C{m}"] if m >= 3 else []) + (
+            [f"K1,{m - 1}"] if m >= 2 else [])
+        return plain + [f"co-{token}" for token in plain]
+
+    def test_pattern_above_n_answers_as_the_solver_does(self, tmp_path, capsys):
+        # the CLI builds K_{max(n + 1, 2)} for a larger --pattern; its reports
+        # must equal brute_solve's on the pattern asked for, on every graph
+        # with n <= 4
+        for n in range(5):
+            pairs = [(a, b) for b in range(n) for a in range(b)]
+            for mask in range(1 << len(pairs)):
+                g = graph_from_edges(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+                path = write_g6(tmp_path, g6_encode(g))
+                for m in range(n + 1, n + 5):
+                    for token in self.tokens_of_order(m):
+                        code = main(["solve", "--target", "pattern", "--pattern", token, path])
+                        got = last_json(capsys)
+                        want = brute_solve(g, make_pattern(parse_pattern_token(token))).to_json()
+                        del got["stats"]["elapsed"], want["stats"]["elapsed"]
+                        assert (code, got) == (0, want), (g.edges(), token)
+
+    def test_large_pattern_token_builds_no_large_pattern(self, tmp_path, capsys, monkeypatch):
+        # a spy on make_pattern refuses a spec of order above max(n + 1, 2)
+        # before its rows are built
+        built = []
+
+        def spy(spec, build=cli.make_pattern):
+            built.append(spec.order)
+            assert spec.order <= top, f"pattern of order {spec.order} requested"
+            return build(spec)
+
+        monkeypatch.setattr(cli, "make_pattern", spy)
+        for payload, top in ((P3_G6, 4), (b"?", 2)):
+            path = write_g6(tmp_path, payload)
+            for token in ("K100000", "co-C100000", "K1,99999", "E100000", "co-P100000", "C3"):
+                assert main(["solve", "--target", "pattern", "--pattern", token, path]) == 0
+                assert last_json(capsys)["solution"] == []
+        assert built
+
+    @pytest.mark.parametrize("token", ["C1", "C2", "P0", "K0", "E0", "K1,0", "co-C2", "co-P0"])
+    @pytest.mark.parametrize("payload", [b"?", P3_G6])
+    def test_invalid_small_token_exits_65(self, tmp_path, capsys, token, payload):
+        code = main(["solve", "--target", "pattern", "--pattern", token, write_g6(tmp_path, payload)])
+        assert code == 65
+        assert json.loads(capsys.readouterr().err)["error"] == "InvalidPattern"
+
     def test_malformed_g6_exits_65_with_offset(self, tmp_path, capsys):
         path = tmp_path / "bad.g6"
         path.write_bytes(b"B\x01\n")

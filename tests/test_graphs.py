@@ -117,6 +117,13 @@ class TestPatterns:
         e3 = make_pattern(PatternSpec.empty(3))
         assert e3.edge_count() == 0
 
+    def test_order_counts_vertices(self):
+        for spec in (PatternSpec.path(4), PatternSpec.cycle(5), PatternSpec.complete(1),
+                     PatternSpec.empty(3), PatternSpec.star(5),
+                     PatternSpec.complement_of(PatternSpec.star(2)),
+                     PatternSpec.complement_of(PatternSpec.complement_of(PatternSpec.path(6)))):
+            assert spec.order == make_pattern(spec).n
+
     def test_complement_spec_recurses(self):
         p4bar = make_pattern(PatternSpec.complement_of(PatternSpec.path(4)))
         assert p4bar == complement(make_pattern(PatternSpec.path(4)))
@@ -294,6 +301,100 @@ class TestFindInduced:
         for spec in (PatternSpec.path(4), PatternSpec.star(3)):
             h = make_pattern(spec)
             assert Pattern(h)._constraints()[0] != (1 << h.n) - 2
+
+
+def reference_embed(pattern, rows, within, flip):
+    """Pattern.embed the way it worked before kernels: flip the rows, bucket
+    the mask by degree, then run the generic search."""
+    rows = [row ^ flip ^ 1 << v if flip >> v & 1 else row for v, row in enumerate(rows)]
+    doms = pattern._domains(rows, within)
+    return None if doms is None else matcher._search(pattern._steps, pattern._later, rows, doms)[0]
+
+
+_KERNEL_SHAPES = [Pattern(h) for n in range(1, 4) for h in all_graphs(n)] + [
+    Pattern(make_pattern(spec)) for spec in (
+        PatternSpec.path(4), PatternSpec.cycle(4), PatternSpec.star(3),
+        PatternSpec.complement_of(PatternSpec.path(4)), PatternSpec.path(5),
+        PatternSpec.cycle(5), PatternSpec.complement_of(PatternSpec.cycle(6)))]
+
+
+class TestEmbedKernel:
+    """Pattern.embed's compiled kernel, on G ⊕ flip inside a mask, against
+    the flipped rows searched by _search."""
+
+    def test_every_small_host_flip_and_mask(self):
+        # every host with n <= 5, every flip mask, three masks; on n = 5 each
+        # (host, flip, mask) meets two of the patterns in turn
+        found = 0
+        turn = 0
+        for n in range(6):
+            full = (1 << n) - 1
+            masks = sorted({full, full & 0b10110, full & 0b01011})
+            for g in all_graphs(n):
+                for flip in range(1 << n):
+                    for within in masks:
+                        if n < 5:
+                            shapes = _KERNEL_SHAPES
+                        else:
+                            shapes = [_KERNEL_SHAPES[turn % len(_KERNEL_SHAPES)],
+                                      _KERNEL_SHAPES[(turn + 7) % len(_KERNEL_SHAPES)]]
+                            turn += 1
+                        for pattern in shapes:
+                            want = reference_embed(pattern, g.rows, within, flip)
+                            got = pattern.embed(g.rows, within=within, flip=flip)
+                            assert got == want, (pattern.graph.rows, g.rows, within, flip)
+                            found += want is not None
+        assert found
+
+    def test_seeded_hosts(self):
+        rng = random.Random(18)
+        for n in range(6, 14):
+            for _ in range(4):
+                g = random_graph(rng, n)
+                for within in ((1 << n) - 1, rng.getrandbits(n)):
+                    for flip in (0, rng.getrandbits(n), rng.getrandbits(n)):
+                        for pattern in _KERNEL_SHAPES:
+                            want = reference_embed(pattern, g.rows, within, flip)
+                            assert pattern.embed(g.rows, within=within, flip=flip) == want
+
+    def test_order_boundary(self, monkeypatch):
+        # patterns of _KERNEL_ORDER vertices compile a kernel, one more
+        # vertex keeps _search; both answer alike on 22-vertex hosts, one
+        # holding a path of every order and one, two paths of 11, none of
+        # order 12 or more
+        compiled = []
+        kernel = matcher._kernel
+        monkeypatch.setattr(matcher, "_kernel", lambda steps, needs: compiled.append(len(needs))
+                            or kernel(steps, needs))
+        order = matcher._KERNEL_ORDER
+        rng = random.Random(order)
+        long = make_pattern(PatternSpec.path(22))
+        halves = disjoint_union(make_pattern(PatternSpec.path(11)), make_pattern(PatternSpec.path(11)))
+        for spec in (PatternSpec.path, PatternSpec.empty):
+            for m in (order, order + 1):
+                pattern = Pattern(make_pattern(spec(m)))
+                for host in (long, halves):
+                    for flip in (0, rng.getrandbits(22)):
+                        # flipping the rows first makes flip give back the host
+                        rows = subgraph_complement(host, VertexSet(flip, 22)).rows
+                        want = reference_embed(pattern, rows, (1 << 22) - 1, flip)
+                        assert pattern.embed(rows, flip=flip) == want
+                        if spec is PatternSpec.path:
+                            assert (want is None) == (host is halves)
+        assert compiled == [order, order]
+
+    def test_small_masks_and_one_vertex(self):
+        k3 = Pattern(make_pattern(PatternSpec.complete(3)))
+        k4 = make_pattern(PatternSpec.complete(4))
+        assert k3.embed(k4.rows, within=0b1011) == (0, 1, 3)
+        # fewer members in the mask than pattern vertices
+        assert k3.embed(k4.rows, within=0b1010) is None
+        assert k3.embed(k4.rows, within=0) is None
+        k1 = Pattern(Graph(1, [0]))
+        assert k1.embed(k4.rows) == (0,)
+        assert k1.embed(k4.rows, within=0b1100, flip=0b0110) == (2,)
+        assert k1.embed(k4.rows, within=0) is None
+        assert k1.embed([]) is None
 
 
 class TestLeastClique:

@@ -464,8 +464,9 @@ class TestSolveDigests:
     """solve output is a fixture too: per solve command, the sha256 digest
     (first 16 hex digits) of its report lines with `elapsed` stripped, over
     seeded G(n, p) hosts with n = 6-12 and p in {0.3, 0.5, 0.7}, over seeded
-    G(n, 1/2) with n = 9-13, or over one fixed host. Every counter is pinned,
-    so a speedup of a solver must keep its reports byte for byte."""
+    G(n, 1/2) with n = 9-13, or over the no-instance of K3 or P3. Every
+    counter is pinned, so a speedup of a solver must keep its reports byte
+    for byte."""
 
     HOSTS = {
         "gnp": [(n, p) for n in range(6, 13) for p in (0.3, 0.5, 0.7)],

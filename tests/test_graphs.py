@@ -383,6 +383,24 @@ class TestEmbedKernel:
                             assert (want is None) == (host is halves)
         assert compiled == [order, order]
 
+    def test_orbit_constraints_bound_the_placements(self):
+        # the least embedding meets the orbit constraints anyway, so only
+        # the work shows them: E6 in C10 (no copy) places vertices on
+        # increasing independent sets, each once, not on all their orders
+        class CountingRows(list):
+            reads = 0
+
+            def __getitem__(self, v):
+                CountingRows.reads += 1
+                return list.__getitem__(self, v)
+
+        c10 = make_pattern(PatternSpec.cycle(10))
+        e6 = Pattern(make_pattern(PatternSpec.empty(6)))
+        assert e6.embed(CountingRows(c10.rows)) is None
+        independent = sum(1 for m in range(1, 1 << 10) if m.bit_count() < 6
+                          and all(not c10.rows[v] & m for v in range(10) if m >> v & 1))
+        assert 0 < CountingRows.reads <= independent
+
     def test_small_masks_and_one_vertex(self):
         k3 = Pattern(make_pattern(PatternSpec.complete(3)))
         k4 = make_pattern(PatternSpec.complete(4))

@@ -97,3 +97,7 @@ class NotSatisfying(SubcompError):
 
 class KindMismatch(SubcompError):
     """Certificate mapping applied to a gadget kind it is not defined for."""
+
+
+class GadgetTooLarge(SubcompError):
+    """The gadget's closed-form vertex count exceeds graphs.MAX_JSON_VERTICES."""

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional
 
-from .errors import InvalidT, KindMismatch, NotSatisfying, WrongWidth
+from .errors import GadgetTooLarge, InvalidT, KindMismatch, NotSatisfying, WrongWidth
 from .graphs import (
+    MAX_JSON_VERTICES,
     Graph,
     PatternSpec,
     VertexSet,
@@ -123,13 +124,27 @@ def _roles(name: str, prefix: tuple, k: int) -> list[Role]:
     return [Role._make((name, (*prefix, j))) for j in range(k)]
 
 
+def _checked_size(kind: str, params: dict) -> int:
+    """The closed-form vertex count of a gadget, computed before anything
+    is built. A count above MAX_JSON_VERTICES, the largest graph g6_decode
+    reads back, is refused."""
+    n = _SIZE_FORMULAS[kind](params)
+    if n > MAX_JSON_VERTICES:
+        raise GadgetTooLarge(
+            f"{kind} gadget would have {n} vertices; at most {MAX_JSON_VERTICES} are built")
+    return n
+
+
 def _inductive(gprime: Graph, t: int, kind: str) -> GadgetInstance:
     block_size = t + 2
     np = gprime.n
-    n = np * (t + 3)
-    b = _Builder(n)
+    params = {"t": t, "source": gprime}
+    b = _Builder(_checked_size(kind, params))
     b.rows[:np] = gprime.rows
     roles = [Role("source", (u,)) for u in range(np)]
+    if not np:
+        # no block is laid, and the block pattern alone may be too large
+        return GadgetInstance(b.finish(), kind, roles, params)
 
     if kind == STAR_INDUCTIVE:
         inner = make_pattern(PatternSpec.complete(block_size))
@@ -149,7 +164,7 @@ def _inductive(gprime: Graph, t: int, kind: str) -> GadgetInstance:
             b.add(own, blocks ^ own)
         roles += _roles("block", (u,), block_size)
     graph = b.finish()
-    return GadgetInstance(graph, kind, roles, {"t": t, "source": gprime})
+    return GadgetInstance(graph, kind, roles, params)
 
 
 def star_inductive(gprime: Graph, t: int) -> GadgetInstance:
@@ -207,7 +222,7 @@ def k15_gadget(phi: CnfFormula, add_dummy_clause: bool = False) -> GadgetInstanc
         fresh = [phi.n + 1, phi.n + 2, phi.n + 3, phi.n + 4]
         phi = CnfFormula(phi.n + 4, list(phi.clauses) + [fresh])
     n, m = phi.n, phi.m
-    b = _Builder(22 * n + 5 * m)
+    b = _Builder(_checked_size(K15, {"phi": phi}))
     roles = [Role("literal", (i, side)) for i in range(1, n + 1) for side in (0, 1)]
 
     for i in range(1, n + 1):
@@ -234,11 +249,12 @@ def k15_gadget(phi: CnfFormula, add_dummy_clause: bool = False) -> GadgetInstanc
 def _p_gadget(phi: CnfFormula, block_size: int) -> GadgetInstance:
     """Shared core of the two path-pattern gadgets; block_size 7 or 8."""
     _require_exact_4sat(phi)
+    kind = P8 if block_size == 8 else P7
+    total = _checked_size(kind, {"phi": phi})
     n, m = phi.n, phi.m
     per_var = 2 + 6 * block_size
     extra_blocks = 1 if block_size == 8 else 0  # the per-clause single block
     blocks_per_clause = 3 + extra_blocks
-    total = per_var * n + blocks_per_clause * block_size * m
     b = _Builder(total)
     roles = [Role("literal", (i, side)) for i in range(1, n + 1) for side in (0, 1)]
     pbar = complement(make_pattern(PatternSpec.path(block_size)))
@@ -287,7 +303,6 @@ def _p_gadget(phi: CnfFormula, block_size: int) -> GadgetInstance:
             start += block_size
 
     graph = b.finish()
-    kind = P8 if block_size == 8 else P7
     return GadgetInstance(graph, kind, roles, {"phi": phi})
 
 
@@ -312,7 +327,7 @@ def c8_gadget(phi: CnfFormula) -> GadgetInstance:
     """
     _require_exact_4sat(phi)
     n, m = phi.n, phi.m
-    b = _Builder(8 * n + 48 * m)
+    b = _Builder(_checked_size(C8, {"phi": phi}))
     roles = []
     cbar = complement(make_pattern(PatternSpec.cycle(8)))
 

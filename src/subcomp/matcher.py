@@ -11,9 +11,11 @@ pattern (see _kernel), on the host complemented on any vertex mask without
 building that graph. The budgeted searches of the pattern's automorphisms
 and a decision's ranked search are a depth-first walk over bitmask domains
 on an explicit stack (_search). `modules_avoiding` splits a host into
-modules, which a decision for a prime pattern can skip. `least_clique` is the one clique search the split
-core, the K_t solver and a peeled decision share; `greedy_colourable` is
-the bound a peeled decision tries before it.
+modules, which a decision for a prime pattern can skip. `least_clique` is
+the clique search the split core and a peeled decision share;
+`greedy_colourable` is the bound a peeled decision tries before it. Both
+solvers search G ⊕ S through `Pattern.embed`: for K_t its least embedding
+is the clique `least_clique` finds on the flipped rows.
 """
 
 from __future__ import annotations

@@ -9,7 +9,9 @@ solution, each of the four neighborhood regions must admit a split
 partition whose Q side is the solution restricted to that region, with
 split parameters fixed per region. It keeps every K_t it finds the same
 way, so one copy prunes later pairs before their split work and cuts whole
-branches of the recombination (see solve_kt_free).
+branches of the recombination (see solve_kt_free). Both solvers search
+G ⊕ S with Pattern.embed's compiled kernel on g's own rows, flipped on S
+as the search goes, so no flipped graph is built for a search.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .graphs import (
     make_pattern,
     subgraph_complement,
 )
-from .matcher import Pattern, least_clique, prepared
+from .matcher import Pattern, prepared
 from .split import region_q_sides
 from .values import Frozen
 
@@ -316,6 +318,14 @@ def _rule_out_pairs(dead: list, w: int, sw: int) -> None:
         dead[(sw & -sw).bit_length() - 1] |= 1 << top
 
 
+def _vertex_mask(vertices) -> int:
+    """The mask of the vertices of an embedding."""
+    w = 0
+    for x in vertices:
+        w |= 1 << x
+    return w
+
+
 def _first_inside(w: int, decided: list) -> int:
     """The first level i >= 1 whose decided vertices hold all of w."""
     i = 1
@@ -358,13 +368,18 @@ def solve_kt_free(
     witness lies inside {0..v} and the regions decided so far and agrees
     with them. A candidate that survives gets one K_t search of G ⊕ S, and
     a copy found there cuts the rest of the smallest branch that decides it.
+    Both searches run the K_t Pattern's kernel on g's rows (the probe with
+    flip {u, v}, which toggles only the edge uv); for K_t the least
+    embedding is the lexicographically least clique, so each witness is
+    the one matcher.least_clique would find on the flipped rows.
 
     The recognizer decides membership in the target class (default: K_t-free,
     which that search decides). The region argument holds for any subclass
     of the K_t-free graphs, so a custom recognizer is only asked about
-    candidates the search found K_t-free, and about g itself at step 0. With
-    debug_check on, every verdict of a custom recognizer is cross-checked
-    against the default and a disagreement raises RecognizerMismatch.
+    candidates the search found K_t-free, and about g itself at step 0; G ⊕ S
+    is built as a Graph only for such a question. With debug_check on, every
+    verdict of a custom recognizer is cross-checked against the default and
+    a disagreement raises RecognizerMismatch.
 
     Stops with Unknown after examining `cap` candidate sets. A cut branch
     counts every candidate in it, so within a pair the count is the one a
@@ -397,7 +412,6 @@ def solve_kt_free(
     examined = 0
 
     n, rows = g.n, g.rows
-    full = (1 << n) - 1
     co_rows = complement(g).rows
     memo = {}
     cap = max(cap, 0)
@@ -414,13 +428,12 @@ def solve_kt_free(
             lists = None
             # a witness inside low that agrees with uv there rules the pair out
             if not (dead[u] >> v) & 1:
-                probe = list(rows)
-                probe[u] ^= 1 << v
-                probe[v] ^= 1 << u
-                w = least_clique(probe, low, t)
-                if w is None:
+                # flipping {u, v} toggles only the edge uv
+                copy = kt.embed(rows, within=low, flip=uv)
+                if copy is None:
                     lists = _region_lists(g, u, v, params, co_rows, memo)
                 else:
+                    w = _vertex_mask(copy)
                     witnesses.append((w, uv & w))
                     _rule_out_pairs(dead, w, uv & w)
             if lists is None:
@@ -447,25 +460,27 @@ def solve_kt_free(
                     i -= 1
                     continue
                 s = chosen[i] | lists[i][1][index[i]]
-                if any(not (s ^ sw) & w for w, sw in cuts[i + 1]):
-                    examined += weight[i]
-                elif i < 3:
-                    chosen[i + 1] = s
-                    i += 1
-                    continue
+                for w, sw in cuts[i + 1]:
+                    if not (s ^ sw) & w:
+                        examined += weight[i]
+                        break
                 else:
+                    if i < 3:
+                        chosen[i + 1] = s
+                        i += 1
+                        continue
                     if examined >= cap:
                         return _report(UNKNOWN, None, start, examined, calls, pairs, pruned)
                     examined += 1
-                    flipped = subgraph_complement(g, VertexSet(s, n))
-                    w = least_clique(flipped.rows, full, t)
-                    if w is None:
+                    copy = kt.embed(rows, flip=s)
+                    if copy is None:
                         calls += 1
-                        if custom is None or custom(flipped):
+                        if custom is None or custom(subgraph_complement(g, VertexSet(s, n))):
                             return _report(YES, VertexSet(s, n), start, examined, calls,
                                            pairs, pruned)
                         continue
                     calls += custom is None  # that search is the default recognizer
+                    w = _vertex_mask(copy)
                     level = _first_inside(w, decided)
                     cuts[level].append((w, s & w))
                     witnesses.append((w, s & w))

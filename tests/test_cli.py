@@ -16,10 +16,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from subcomp import cli
+from subcomp import cli, gadgets
 from subcomp.cli import main, parse_pattern_token
+from subcomp.errors import GadgetTooLarge
 from subcomp.gadgets import certificate_json
 from subcomp.graphs import (
+    MAX_JSON_VERTICES,
     PatternSpec,
     complement,
     g6_decode,
@@ -29,6 +31,7 @@ from subcomp.graphs import (
     make_pattern,
     no_instance,
 )
+from subcomp.sat import CnfFormula
 from subcomp.solvers import brute_solve, solve_complement_class, solve_kt_free
 
 C5_G6 = g6_encode(make_pattern(PatternSpec.cycle(5)))
@@ -409,6 +412,85 @@ class TestGen:
         code = main(["gen", "c8", str(cnf)])
         assert code == 65
 
+    @staticmethod
+    def refuse_large_builds(monkeypatch, built):
+        """Spies on the gadget builder and the block patterns: each records
+        the order asked for and fails on one above the vertex limit before
+        anything of that size is allocated."""
+        builder = gadgets._Builder
+
+        def spy_builder(n):
+            built.append(n)
+            assert n <= MAX_JSON_VERTICES, f"builder for {n} vertices"
+            return builder(n)
+
+        monkeypatch.setattr(gadgets, "_Builder", spy_builder)
+        for name in ("complete", "path", "cycle"):
+            def spy(cls, t, build=getattr(PatternSpec, name)):
+                assert t <= MAX_JSON_VERTICES, f"pattern of order {t} requested"
+                return build(t)
+
+            monkeypatch.setattr(PatternSpec, name, classmethod(spy))
+
+    @pytest.mark.parametrize("argv", [
+        ["star", "-t", "1000000000", "p3.g6"],
+        ["path", "-t", "1000000000", "p3.g6"],
+        ["cycle", "-t", "1000000000", "p3.g6"],
+        ["k15", "big.cnf"],
+        ["k15", "--dummy-clause", "big.cnf"],
+        ["p7", "big.cnf"],
+        ["p8", "big.cnf"],
+        ["c8", "big.cnf"],
+    ])
+    def test_oversized_gadget_exits_65_before_building(self, tmp_path, capsys, monkeypatch, argv):
+        write_g6(tmp_path, P3_G6, "p3.g6")
+        (tmp_path / "big.cnf").write_bytes(b"p cnf 1000000000 1\n1 2 3 4 0\n")
+        built = []
+        self.refuse_large_builds(monkeypatch, built)
+        prefix = tmp_path / "out"
+        code = main(["gen", *argv[:-1], "-o", str(prefix), str(tmp_path / argv[-1])])
+        assert code == 65
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "GadgetTooLarge"
+        assert str(MAX_JSON_VERTICES) in err["message"]
+        assert built == [] and not (tmp_path / "out.g6").exists()
+
+    def test_limit_is_the_decoder_limit(self, monkeypatch):
+        # a gadget of MAX_JSON_VERTICES vertices gets its builder, one larger
+        # is refused; the spy stops each build before anything is allocated
+        built = []
+
+        class Stop(Exception):
+            pass
+
+        def stop(n):
+            built.append(n)
+            raise Stop
+
+        monkeypatch.setattr(gadgets, "_Builder", stop)
+        one = graph_from_edges(1, [])  # star on one source vertex: t + 3 vertices
+        with pytest.raises(Stop):
+            gadgets.star_inductive(one, MAX_JSON_VERTICES - 3)
+        with pytest.raises(GadgetTooLarge):
+            gadgets.star_inductive(one, MAX_JSON_VERTICES - 2)
+        # c8: 8 vertices per variable and 48 per clause
+        with pytest.raises(Stop):
+            gadgets.c8_gadget(CnfFormula(2042, [[1, 2, 3, 4]]))
+        with pytest.raises(GadgetTooLarge):
+            gadgets.c8_gadget(CnfFormula(2043, [[1, 2, 3, 4]]))
+        assert built == [MAX_JSON_VERTICES] * 2
+
+    def test_empty_source_builds_no_block(self, tmp_path, capsys, monkeypatch):
+        # no source vertex lays a block, so the block pattern is never built
+        built = []
+        self.refuse_large_builds(monkeypatch, built)
+        src = write_g6(tmp_path, b"?", "e0.g6")
+        for kind in ("star", "path", "cycle"):
+            code = main(["gen", kind, "-t", "1000000000", "-o", str(tmp_path / kind), src])
+            assert code == 0
+            assert capsys.readouterr().out.strip() == "vertices=0"
+        assert built == [0, 0, 0]
+
 
 class TestGenDigests:
     """gen output is a fixture: the sha256 digests (first 16 hex digits) of
@@ -472,6 +554,7 @@ class TestSolveDigests:
         "gnp": [(n, p) for n in range(6, 13) for p in (0.3, 0.5, 0.7)],
         "gnp-small": [(n, p) for n in range(6, 10) for p in (0.3, 0.5, 0.7)],
         "gnp-half": [(n, 0.5) for n in range(9, 14)],
+        "gnp-large": [(n, 0.5) for n in range(14, 19)],
         "no-k3": PatternSpec.complete(3),
         "no-p3": PatternSpec.path(3),
     }
@@ -500,6 +583,9 @@ class TestSolveDigests:
         ("gnp-half", "--target pattern --pattern co-C6"): "91cee85dcea8f119",
         ("gnp-half", "--target pattern --pattern co-P4"): "9f827b17eb1c6ddc",
         ("no-p3", "--target pattern --pattern P3"): "d3aa2cfe6a28dc15",
+        ("gnp-large", "--target kt -t 3"): "2e473f6fe9329925",
+        ("gnp-large", "--target kt -t 4"): "533521eb4450cad5",
+        ("gnp-large", "--target kt-bar -t 4"): "9045b1f96df234b1",
     }
 
     @staticmethod

@@ -303,10 +303,15 @@ class TestFindInduced:
             assert Pattern(h)._constraints()[0] != (1 << h.n) - 2
 
 
+def _flipped(rows, flip):
+    """The rows of the host complemented on the mask flip."""
+    return [row ^ flip ^ 1 << v if flip >> v & 1 else row for v, row in enumerate(rows)]
+
+
 def reference_embed(pattern, rows, within, flip):
     """Pattern.embed the way it worked before kernels: flip the rows, bucket
     the mask by degree, then run the generic search."""
-    rows = [row ^ flip ^ 1 << v if flip >> v & 1 else row for v, row in enumerate(rows)]
+    rows = _flipped(rows, flip)
     doms = pattern._domains(rows, within)
     return None if doms is None else matcher._search(pattern._steps, pattern._later, rows, doms)[0]
 
@@ -413,6 +418,74 @@ class TestEmbedKernel:
         assert k1.embed(k4.rows, within=0b1100, flip=0b0110) == (2,)
         assert k1.embed(k4.rows, within=0) is None
         assert k1.embed([]) is None
+
+
+def _gnp_rows(rng, n, p, edges=()):
+    """Rows of G(n, p) drawn from rng, with the given edges added."""
+    rows = [0] * n
+    for b in range(n):
+        for a in range(b):
+            if rng.random() < p or (a, b) in edges:
+                rows[a] |= 1 << b
+                rows[b] |= 1 << a
+    return rows
+
+
+class TestCliqueEmbedding:
+    """The vertices of prepared(K_t).embed(rows, within=..., flip=...) form
+    the clique that least_clique finds inside the mask on the explicitly
+    flipped rows: solve_kt_free takes its witnesses from the one and its
+    digests were pinned on the other."""
+
+    KT = {t: matcher.prepared(make_pattern(PatternSpec.complete(t))) for t in range(2, 6)}
+
+    @staticmethod
+    def check(kt, rows, within, flip):
+        copy = kt.embed(rows, within=within, flip=flip)
+        got = None if copy is None else sum(1 << x for x in copy)
+        want = matcher.least_clique(_flipped(rows, flip), within, kt.graph.n)
+        assert got == want, (kt.graph.n, rows, within, flip)
+        return want is not None
+
+    def test_every_small_host_flip_and_prefix(self):
+        found = 0
+        for n in range(6):
+            for g in all_graphs(n):
+                for flip in range(1 << n):
+                    for k in range(n + 1):
+                        for kt in self.KT.values():
+                            found += self.check(kt, g.rows, (1 << k) - 1, flip)
+        assert found
+
+    def test_seeded_hosts(self):
+        rng = random.Random(19)
+        for n in range(10, 15):
+            for p in (0.3, 0.5, 0.7):
+                rows = _gnp_rows(rng, n, p)
+                for _ in range(6):
+                    flip = rng.getrandbits(n)
+                    for within in ((1 << n) - 1, (1 << rng.randint(2, n)) - 1, rng.getrandbits(n)):
+                        for kt in self.KT.values():
+                            self.check(kt, rows, within, flip)
+
+    def test_above_kernel_order(self):
+        # K21 and K22 search with _search; the host is G(24, 1/2) with a
+        # planted K22, given with its rows flipped on a mask so that the
+        # search flips them back, and masks that drop a clique vertex
+        rng = random.Random(22)
+        n = 24
+        clique = sorted(rng.sample(range(n), 22))
+        host = Graph(n, _gnp_rows(rng, n, 0.5, set(itertools.combinations(clique, 2))))
+        full = (1 << n) - 1
+        seen = set()
+        for t in (21, 22):
+            assert t > matcher._KERNEL_ORDER
+            kt = matcher.prepared(make_pattern(PatternSpec.complete(t)))
+            for flip in (0, rng.getrandbits(n), rng.getrandbits(n)):
+                rows = subgraph_complement(host, VertexSet(flip, n)).rows
+                for within in (full, full ^ 1 << clique[0], full ^ 1 << clique[0] ^ 1 << clique[1]):
+                    seen.add((t, self.check(kt, rows, within, flip)))
+        assert seen == {(21, True), (21, False), (22, True), (22, False)}
 
 
 class TestLeastClique:

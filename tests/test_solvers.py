@@ -391,22 +391,23 @@ class TestSolveKtFree:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_each_candidate_once_on_g16(self, seed, monkeypatch):
         # Every candidate holds its pair, so distinct candidates flip
-        # distinct edge sets: no flipped graph is built twice, every one is
-        # searched by the default recognizer, and the count stays below the
-        # 2^16 subsets brute force would try.
-        built = []
-        flip = solvers.subgraph_complement
+        # distinct edge sets: no candidate is searched twice, every search
+        # is one call of the default recognizer, and the count stays below
+        # the 2^16 subsets brute force would try. Candidate searches cover
+        # the whole host; the pair probes pass `within`.
+        searched = []
+        embed = Pattern.embed
 
-        def recording(gg, s):
-            out = flip(gg, s)
-            built.append(out.rows)
-            return out
+        def recording(self, rows, *, within=None, flip=0):
+            if within is None:
+                searched.append(flip)
+            return embed(self, rows, within=within, flip=flip)
 
-        monkeypatch.setattr(solvers, "subgraph_complement", recording)
+        monkeypatch.setattr(Pattern, "embed", recording)
         r = solve_kt_free(random_graph(random.Random(seed), 16), 3)
         assert r.stats["subsets_examined"] < 2**16
-        assert len(built) == len(set(built)) == r.stats["recognizer_calls"] - 1
-        assert len(built) < r.stats["subsets_examined"]
+        assert len(searched) == len(set(searched)) == r.stats["recognizer_calls"] - 1
+        assert len(searched) < r.stats["subsets_examined"]
 
     def test_degenerate_subclass_matches_brute_force(self):
         """Target the (t-2)-degenerate graphs, a subclass of the K_t-free

@@ -3,14 +3,14 @@
 A (p, q)-split partition of G is a bipartition (P, Q) of V(G) where G[P] has
 no clique on p+1 vertices and G[Q] has no independent set on q+1 vertices.
 Any two such partitions of the same graph differ on fewer than R(p+1, q+1)
-vertices per side, which is what keeps the enumeration polynomial for fixed
-p and q.
+vertices per side, so a graph has polynomially many for fixed p and q.
 
 region_q_sides works on a vertex mask of a host graph, given the rows of
 the host and of its complement; the public functions run the same searches
-on every vertex. The exchanges with a seed partition grow one vertex at a
-time and stop as soon as a side gains a forbidden clique, rather than
-validating each candidate.
+on every vertex. After one seed partition is found, the enumeration places
+the vertices one at a time and drops a branch as soon as a side gains a
+forbidden clique. Every node of that search is a split partition of the
+vertices placed so far, so for fixed p and q it visits polynomially many.
 """
 
 from __future__ import annotations
@@ -87,6 +87,8 @@ def is_split_partition(
     """Check the two sides directly: no K_{p+1} in P, no (q+1)-independent
     set in Q. co_rows, the rows of complement(g), saves rebuilding the
     complement when the caller checks many candidates on one graph."""
+    if p < 1 or q < 1:
+        raise InvalidArgs(f"split parameters must be positive, got ({p}, {q})")
     full = (1 << g.n) - 1
     if (pbits | qbits) != full or (pbits & qbits):
         return False
@@ -95,37 +97,6 @@ def is_split_partition(
     if co_rows is None:
         co_rows = complement(g).rows
     return least_clique(co_rows, qbits, q + 1) is None
-
-
-def _clique_through(rows, within: int, size: int, through: int) -> bool:
-    """Whether the mask `within` holds a clique of the given size (>= 1)
-    with a vertex in `through`: one search through each such vertex, which
-    then leaves `within` since every clique through it has been tried."""
-    while through:
-        vbit = through & -through
-        through ^= vbit
-        if least_clique(rows, within & rows[vbit.bit_length() - 1], size - 1) is not None:
-            return True
-        within &= ~vbit
-    return False
-
-
-def _grow(rows, base: int, cand: int, size: int) -> list[int]:
-    """Every base | Y with Y ⊆ cand that gains no clique on size+1 vertices
-    (base has none), by a depth-first search that adds the vertices of Y in
-    ascending order and tests only the cliques through the new vertex. The
-    property is hereditary, so pruning a set prunes every superset."""
-    out = [base]
-    stack = [(base, cand)]
-    while stack:
-        got, cand = stack.pop()
-        while cand:
-            vbit = cand & -cand
-            cand ^= vbit
-            if least_clique(rows, got & rows[vbit.bit_length() - 1], size) is None:
-                out.append(got | vbit)
-                stack.append((got | vbit, cand))
-    return out
 
 
 def _seed_q(rows, co_rows, region: int, p: int, q: int, forced: int = 0) -> Optional[int]:
@@ -163,45 +134,42 @@ def _seed_q(rows, co_rows, region: int, p: int, q: int, forced: int = 0) -> Opti
     return None
 
 
-def _exchanges(rows, co_rows, p: int, q: int, pbits: int, qbits: int, forced: int) -> list[int]:
-    """Q sides of every (p, q)-split partition of the subgraph induced on
-    pbits | qbits that keeps the mask `forced` on the P side, sorted by P
-    side, grown from the valid partition (pbits, qbits).
-
-    Another partition (P', Q') moves X = P ∩ Q' to Q and Y = Q ∩ P' to P.
-    X must hold no independent (q+1)-set, and (P \\ X) ∪ Y no K_{p+1}; both
-    are hereditary, so X and Y grow by pruned depth-first search, and the
-    Ramsey bound keeps each below R(p+1, q+1). The one remaining test, Q'
-    free of independent (q+1)-sets, can only fail through a vertex of X.
-    Y always holds the forced part of Q, and a forced vertex never joins X.
-    Distinct (X, Y) give distinct P sides.
-    """
-    region = pbits | qbits
-    must = qbits & forced
-    keep = qbits & ~forced
-    sides = []
-    for x in _grow(co_rows, 0, pbits & ~forced, q):
-        rest = (pbits & ~x) | must
-        if _clique_through(rows, rest, p + 1, must):
-            continue
-        # with every vertex of keep staying on Q, Q' is largest; if that is free, all are
-        loose = x and _clique_through(co_rows, keep | x, q + 1, x)
-        for pb in _grow(rows, rest, keep, p):
-            if not (loose and _clique_through(co_rows, region & ~pb, q + 1, x)):
-                sides.append(pb)
-    sides.sort()
-    return [region ^ pb for pb in sides]
-
-
 def region_q_sides(rows, co_rows, region: int, p: int, q: int, forced: int) -> list[int]:
     """Q sides of every (p, q)-split partition of the host's subgraph induced
     on the mask `region` with Q disjoint from `forced`, as host masks sorted
     by P side; empty when there is none. rows and co_rows are the host's
-    adjacency rows and those of its complement."""
-    qbits = _seed_q(rows, co_rows, region, p, q, forced)
-    if qbits is None:
+    adjacency rows and those of its complement.
+
+    After the seed check, one depth-first search on an explicit stack places
+    the region's vertices from the highest down. A vertex may join Q unless
+    it is forced or closes an independent (q+1)-set there, and P unless it
+    closes a K_{p+1}; both properties are hereditary, so a dead branch never
+    revives. Q is tried first and only the P alternative is pushed, so the Q
+    sides come out in ascending order of their P sides. The seed check keeps
+    a region with no partition from paying for every partition of a part of
+    it."""
+    if _seed_q(rows, co_rows, region, p, q, forced) is None:
         return []
-    return _exchanges(rows, co_rows, p, q, region & ~qbits, qbits, forced)
+    sides = []
+    stack = [(0, 0, region)]
+    while stack:
+        pbits, qbits, rest = stack.pop()
+        while rest:
+            v = rest.bit_length() - 1
+            vbit = 1 << v
+            rest ^= vbit
+            to_p = least_clique(rows, pbits & rows[v], p) is None
+            if not vbit & forced and least_clique(co_rows, qbits & co_rows[v], q) is None:
+                if to_p:
+                    stack.append((pbits | vbit, qbits, rest))
+                qbits |= vbit
+            elif to_p:
+                pbits |= vbit
+            else:
+                break
+        else:
+            sides.append(qbits)
+    return sides
 
 
 def find_split_partition(g: Graph, p: int, q: int) -> Optional[SplitPartition]:
@@ -220,14 +188,9 @@ def enumerate_split_partitions(
     g: Graph, p: int, q: int, seed: SplitPartition, forced_p: int = 0
 ) -> list[SplitPartition]:
     """All (p, q)-split partitions of g with Q disjoint from the bitmask
-    forced_p, grown from one seed partition and sorted by P side.
-
-    Any other partition differs from the seed by bounded exchanges X ⊆ P
-    and Y ⊆ Q, below R(p+1, q+1) vertices each. They are grown vertex by
-    vertex and pruned as soon as X gains an independent (q+1)-set or the new
-    P side a K_{p+1}, so no candidate is validated from scratch (see
-    _exchanges).
-    """
+    forced_p, sorted by P side (the search of region_q_sides over every
+    vertex). The seed must be a valid partition of g; the result does not
+    depend on which one is given."""
     if p < 1 or q < 1:
         raise InvalidArgs(f"split parameters must be positive, got ({p}, {q})")
     if seed.P.cap != g.n or seed.Q.cap != g.n:
@@ -238,5 +201,5 @@ def enumerate_split_partitions(
     full = (1 << g.n) - 1
     return [
         SplitPartition(p, q, VertexSet(full ^ qb, g.n), VertexSet(qb, g.n))
-        for qb in _exchanges(g.rows, co_rows, p, q, seed.P.bits, seed.Q.bits, forced_p)
+        for qb in region_q_sides(g.rows, co_rows, full, p, q, forced_p)
     ]

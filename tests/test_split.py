@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subcomp import split
 from subcomp.errors import InvalidArgs, InvalidSeed
-from subcomp.graphs import Graph, PatternSpec, VertexSet, complement, induced, make_pattern
+from subcomp.graphs import Graph, PatternSpec, VertexSet, complement, disjoint_union, induced, make_pattern
 from subcomp.solvers import _region_masks
 from subcomp.split import (
     RamseyBound,
@@ -63,9 +64,9 @@ def oracle_partitions(g, p, q):
 
 
 def _exchange_sweep(g, p, q, seed, forced_p=0):
-    """What enumerate_split_partitions did before its exchanges were grown
-    by pruned search: sweep every X ⊆ P and Y ⊆ Q below the Ramsey bound
-    and validate each candidate from scratch. Q sides, sorted by P side."""
+    """A reference that leans on the Ramsey bound: from a valid seed, sweep
+    every exchange X ⊆ P and Y ⊆ Q below the bound and validate each
+    candidate from scratch. Q sides, sorted by P side."""
     co_rows = complement(g).rows
     bound = ramsey_bound(p + 1, q + 1).value
     must = seed.Q.bits & forced_p
@@ -201,6 +202,27 @@ class TestFindSplitPartition:
             assert got.Q == VertexSet.from_members(expected, g.n)
 
 
+def _subset_tables(g):
+    """Clique and independence numbers of every vertex subset of g, indexed
+    by mask."""
+    co_rows = complement(g).rows
+    omega, alpha = [0] * (1 << g.n), [0] * (1 << g.n)
+    for m in range(1, 1 << g.n):
+        v = (m & -m).bit_length() - 1
+        rest = m & (m - 1)
+        omega[m] = max(omega[rest], 1 + omega[rest & g.rows[v]])
+        alpha[m] = max(alpha[rest], 1 + alpha[rest & co_rows[v]])
+    return omega, alpha
+
+
+class TestIsSplitPartition:
+    @pytest.mark.parametrize("p,q", [(-2, 1), (0, 1), (1, 0), (0, 0)])
+    def test_rejects_nonpositive(self, p, q):
+        k4 = make_pattern(PatternSpec.complete(4))
+        with pytest.raises(InvalidArgs):
+            is_split_partition(k4, p, q, 0b1111, 0)
+
+
 class TestEnumerate:
     def test_path_on_three_has_exactly_three(self):
         p3 = make_pattern(PatternSpec.path(3))
@@ -288,7 +310,7 @@ class TestEnumerate:
             checked += 1
 
     def test_region_core_matches_sweep(self):
-        """region_q_sides equals the old exchange sweep: on every graph with
+        """region_q_sides equals the exchange sweep: on every graph with
         n <= 4, for every forced set and (p, q) in {1, 2, 3}^2, and on the
         four regions of a random pair u < v on each of 300 seeded hosts with n = 8-12 in
         the solver's calling shape (forced = region ∩ {0..v-1}), against the
@@ -332,12 +354,7 @@ class TestEnumerate:
             full = (1 << n) - 1
             for g in all_graphs(n):
                 co_rows = complement(g).rows
-                omega, alpha = [0] * (1 << n), [0] * (1 << n)
-                for m in range(1, 1 << n):
-                    v = (m & -m).bit_length() - 1
-                    rest = m & (m - 1)
-                    omega[m] = max(omega[rest], 1 + omega[rest & g.rows[v]])
-                    alpha[m] = max(alpha[rest], 1 + alpha[rest & co_rows[v]])
+                omega, alpha = _subset_tables(g)
                 for p, q in itertools.product((1, 2, 3), repeat=2):
                     valid = [pb for pb in range(1 << n)
                              if omega[pb] <= p and alpha[full ^ pb] <= q]
@@ -360,3 +377,57 @@ class TestEnumerate:
             results.append([sp.P.bits for sp in enumerate_split_partitions(g, 1, 2, seed)])
         assert all(r == results[0] for r in results)
         assert results[0] == seeds
+
+    def test_region_core_matches_subset_tables(self):
+        """region_q_sides equals an oracle that reads clique and independence
+        numbers off a table over all subsets: 150 seeded hosts with n = 9-12,
+        each with a random region and forced mask, every (p, q) in
+        {1, 2, 3, 4}^2."""
+        rng = random.Random(12)
+        for _ in range(150):
+            g = random_graph(rng, rng.randint(9, 12))
+            co_rows = complement(g).rows
+            omega, alpha = _subset_tables(g)
+            region = rng.getrandbits(g.n) | rng.getrandbits(g.n)
+            forced = region & rng.getrandbits(g.n) & rng.getrandbits(g.n)
+            for p, q in itertools.product((1, 2, 3, 4), repeat=2):
+                want = []
+                pb = 0
+                while True:  # every P ⊆ region, ascending
+                    if pb & forced == forced and omega[pb] <= p and alpha[region ^ pb] <= q:
+                        want.append(region ^ pb)
+                    if pb == region:
+                        break
+                    pb = (pb - region) & region
+                got = region_q_sides(g.rows, co_rows, region, p, q, forced)
+                assert got == want, (g.rows, region, forced, p, q)
+
+    def test_seed_check_runs_before_the_search(self, monkeypatch):
+        """A region with no (3, 3)-split partition ends at the seed check: four
+        disjoint K4 (any Q side meets each, so it holds an independent 4-set)
+        below a G(18, 1/2). Placing vertices from the highest down without
+        the check would first enumerate the partitions of the G(18, 1/2), a
+        few 10^5 clique searches."""
+        k4 = make_pattern(PatternSpec.complete(4))
+        low = disjoint_union(disjoint_union(k4, k4), disjoint_union(k4, k4))
+        g = disjoint_union(low, random_graph(random.Random(1), 18))
+        co_rows = complement(g).rows
+        calls = 0
+        least_clique = split.least_clique
+
+        def spy(*args):
+            nonlocal calls
+            calls += 1
+            return least_clique(*args)
+
+        monkeypatch.setattr(split, "least_clique", spy)
+        assert region_q_sides(g.rows, co_rows, (1 << g.n) - 1, 3, 3, 0) == []
+        assert calls < 1000
+
+    def test_deep_search_needs_no_recursion(self):
+        # K_n at p = q = 1: P is empty or one vertex, each leaf n levels deep
+        n = 1200
+        k = make_pattern(PatternSpec.complete(n))
+        seed = SplitPartition(1, 1, VertexSet(0, n), VertexSet((1 << n) - 1, n))
+        got = enumerate_split_partitions(k, 1, 1, seed)
+        assert [sp.P.bits for sp in got] == [0] + [1 << v for v in range(n)]

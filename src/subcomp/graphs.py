@@ -22,7 +22,6 @@ from .errors import (
 )
 from .matcher import (
     Pattern,
-    _twin_classes,
     greedy_colourable,
     least_clique,
     modules_avoiding,
@@ -323,8 +322,6 @@ def is_pattern_free(g: Graph, h: Graph | Pattern) -> bool:
     independent set left at the end is one clique search, on the rows or on
     the complement's rows, unless at least one vertex was peeled and a
     greedy colouring with one class fewer than its order covers the mask.
-    Swapping two twins of g is an automorphism, so the first peel tries one
-    vertex per twin class.
     """
     pattern = h if isinstance(h, Pattern) else prepared(h)
     rows = g.rows
@@ -356,8 +353,7 @@ def is_pattern_free(g: Graph, h: Graph | Pattern) -> bool:
             continue
         need = hn - 1 - depth
         near = sides[depth]
-        walk = mask if depth else sum(
-            1 << v for v, t in enumerate(_twin_classes(rows)) if t & -t == 1 << v)
+        walk = mask
         while walk:
             vbit = walk & -walk
             walk ^= vbit

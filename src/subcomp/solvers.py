@@ -278,18 +278,14 @@ def _region_masks(g: Graph, u: int, v: int) -> tuple[int, int, int, int]:
     return a, b, c, d
 
 
-def _region_lists(g: Graph, u: int, v: int, params, co_rows, memo: dict) -> Optional[list]:
+def _region_lists(g: Graph, u: int, v: int, params, co_rows) -> Optional[list]:
     """(region mask, Q sides as whole-graph masks) for each region around
     the pair, or None when some region admits no split partition. Every
-    vertex of a region below v stays on its P side. Lists are kept in memo
-    by (region, p, q, forced), since regions repeat across pairs."""
+    vertex of a region below v stays on its P side."""
     below_v = (1 << v) - 1
     lists = []
     for mask, (p, q) in zip(_region_masks(g, u, v), params):
-        key = (mask, p, q, mask & below_v)
-        qmasks = memo.get(key)
-        if qmasks is None:
-            qmasks = memo[key] = region_q_sides(g.rows, co_rows, mask, p, q, mask & below_v)
+        qmasks = region_q_sides(g.rows, co_rows, mask, p, q, mask & below_v)
         if not qmasks:
             return None
         lists.append((mask, qmasks))
@@ -413,7 +409,6 @@ def solve_kt_free(
 
     n, rows = g.n, g.rows
     co_rows = complement(g).rows
-    memo = {}
     cap = max(cap, 0)
     witnesses = []  # (W, S ∩ W) as masks, one per K_t found
     dead = [0] * n  # dead[u]: the v whose pair (u, v) some witness rules out
@@ -431,7 +426,7 @@ def solve_kt_free(
                 # flipping {u, v} toggles only the edge uv
                 copy = kt.embed(rows, within=low, flip=uv)
                 if copy is None:
-                    lists = _region_lists(g, u, v, params, co_rows, memo)
+                    lists = _region_lists(g, u, v, params, co_rows)
                 else:
                     w = _vertex_mask(copy)
                     witnesses.append((w, uv & w))

@@ -501,7 +501,18 @@ class TestForwardSoundness:
             assert planned._occurs_within(g.rows, quotient) == (
                 planned.embed(g.rows, within=quotient) is not None)
             assert is_pattern_free(g, planned) == free
-        assert any(plan is not planned for plan in planned._plans.values())
+        assert planned._plan() is not planned
+
+    def test_randomly_flipped_p8_gadgets(self):
+        # a random flip leaves copies for the decision to find; it must
+        # answer as the index-ordered least-embedding search does
+        rng = random.Random(8)
+        planned = matcher.Pattern(make_pattern(PatternSpec.path(8)))
+        for phi in (PHI_41, PHI_53):
+            g = p8_gadget(phi).graph
+            for _ in range(3):
+                flipped = subgraph_complement(g, VertexSet(rng.getrandbits(g.n), g.n))
+                assert is_pattern_free(flipped, planned) == (planned.embed(flipped.rows) is None)
 
     def test_parts_failing_the_degree_filters_are_not_split(self, monkeypatch):
         # every module of a flipped P7 gadget below its top quotient fails

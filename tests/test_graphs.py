@@ -4,6 +4,7 @@ import itertools
 import random
 import time
 import tracemalloc
+from functools import lru_cache
 
 import networkx as nx
 import pytest
@@ -891,63 +892,17 @@ class TestRankedDecision:
         assert not is_pattern_free(g, make_pattern(PatternSpec.star(3)))
 
 
-def _model_cost(rows, auts, p, order, n=40):
-    """Expected partial embeddings, summed over the depths of the search,
-    when the pattern's vertices are placed in order into G(n, p): at depth
-    k, n(n-1)...(n-k+1) p^e (1-p)^f / prod_j |orb_j & placed|, for e edges
-    and f non-edges among the placed vertices and orb_j the orbit of the
-    j-th one under the automorphisms fixing those placed before it."""
-    return _best_completion(rows, auts, p, order, float("inf"), n)
-
-
-def _best_completion(rows, auts, p, prefix, bound, n=40):
-    """The least _model_cost below bound of an order that starts with
-    prefix, by branch and bound; bound when there is none."""
-    best = [bound]
-
-    def extend(order, total, placed, fixing, orbits):
-        k = len(order)
-        if k == len(rows):
-            best[0] = total
-            return
-        falling = 1
-        for i in range(k + 1):
-            falling *= n - i
-        for v in prefix[k:k + 1] if k < len(prefix) else range(len(rows)):
-            if placed >> v & 1:
-                continue
-            now = placed | 1 << v
-            grown = orbits + [{sigma[v] for sigma in fixing}]
-            e = sum((rows[u] & now).bit_count() for u in order + [v]) // 2
-            divisor = 1
-            for orbit in grown:
-                divisor *= sum(1 for w in orbit if now >> w & 1)
-            cost = total + falling * p ** e * (1 - p) ** (k * (k + 1) // 2 - e) / divisor
-            if cost < best[0] * (1 - 1e-9):
-                extend(order + [v], cost, now, [sigma for sigma in fixing if sigma[v] == v], grown)
-
-    extend([], 0.0, 0, auts, [])
-    return best[0]
-
-
-def _automorphisms_nx(h):
-    g = nx.Graph(h.edges())
-    g.add_nodes_from(range(h.n))
-    return [tuple(m[v] for v in range(h.n)) for m in nx.algorithms.isomorphism.GraphMatcher(g, g).isomorphisms_iter()]
-
-
 _PLANNED_SPECS = [PatternSpec.path(7), PatternSpec.path(8), PatternSpec.cycle(8),
                   PatternSpec.complement_of(PatternSpec.path(7))]
 
 
 class TestDecisionPlans:
-    """A decision places the pattern's vertices in an order planned for the
-    host's density; it must answer as the index-ordered search does."""
+    """A decision places the pattern's vertices in one order read off its
+    orbit constraints; it must answer as the index-ordered search does."""
 
     @staticmethod
     def answers(hosts, patterns):
         seen = set()
-        planned = 0
         for g in hosts:
             full = (1 << g.n) - 1
             for pattern in patterns:
@@ -955,9 +910,7 @@ class TestDecisionPlans:
                 assert (not pattern._occurs_within(g.rows, full)) == want, (g.rows, pattern.graph.rows)
                 assert is_pattern_free(g, pattern) == want, (g.rows, pattern.graph.rows)
                 seen.add(want)
-            planned += sum(plan is not pattern for pattern in patterns
-                           for plan in (pattern._plans or {}).values())
-        assert planned
+        assert any(pattern._plan() is not pattern for pattern in patterns)
         return seen
 
     def test_every_host_up_to_seven_vertices(self):
@@ -983,62 +936,53 @@ class TestDecisionPlans:
         hosts = [_gnp(rng, n, p) for n in range(8, 19) for p in (0.15, 0.5, 0.85) for _ in range(2)]
         assert self.answers(hosts, [pattern]) == {True, False}
 
-    @pytest.mark.parametrize("t", range(5, 9))
-    def test_greedy_reaches_the_model_optimum(self, t):
-        for h in (make_pattern(PatternSpec.path(t)), make_pattern(PatternSpec.cycle(t))):
-            for h in (h, complement(h)):
-                auts = _automorphisms_nx(h)
-                assert sorted(matcher._automorphisms(h.rows, Pattern(h)._need_of)) == sorted(auts)
-                for p in (0.15, 0.5, 0.85):
-                    order = matcher._search_order(h.rows, auts, p)
-                    assert sorted(order) == list(range(h.n))
-                    got = _model_cost(h.rows, auts, p, order)
-                    # no order of the pattern costs less than the plan's
-                    assert _best_completion(h.rows, auts, p, [], got) == got, (h.rows, p, order)
-
     def test_orders_of_the_gadget_patterns(self):
-        # dense hosts place P7 and P8 along independent sets first, sparse
-        # ones start a path in its middle; a sparse C8 closes its cycle early
-        def order(spec, p):
-            h = make_pattern(spec)
-            return matcher._search_order(h.rows, _automorphisms_nx(h), p)
+        # each orbit constraint's second vertex comes one level after its
+        # first: a path's far end after its first end, a cycle's two
+        # neighbours of 0 right after 0
+        def plan_is(spec, order):
+            pattern = Pattern(make_pattern(spec))
+            return pattern._plan().graph == matcher._listed(pattern.graph, order)
 
-        assert order(PatternSpec.path(7), 0.85) == (0, 6, 2, 4, 1, 3, 5)
-        assert order(PatternSpec.path(8), 0.85) == (0, 7, 2, 4, 5, 1, 3, 6)
-        assert order(PatternSpec.cycle(8), 0.25) == (0, 1, 7, 2, 3, 4, 5, 6)
-        assert order(PatternSpec.path(8), 0.15) == (3, 4, 2, 1, 0, 5, 6, 7)
+        assert plan_is(PatternSpec.path(7), (0, 6, 1, 2, 3, 4, 5))
+        assert plan_is(PatternSpec.path(8), (0, 7, 1, 2, 3, 4, 5, 6))
+        assert plan_is(PatternSpec.cycle(8), (0, 1, 7, 2, 3, 4, 5, 6))
+        assert plan_is(PatternSpec.complement_of(PatternSpec.path(7)), (0, 6, 1, 2, 3, 4, 5))
 
     def test_plan_is_the_relabelled_pattern(self):
         pattern = Pattern(make_pattern(PatternSpec.path(7)))
-        g = _gnp(random.Random(3), 20, 0.85)
-        degrees = sum(row.bit_count() for row in g.rows)
-        plan = pattern._plan(degrees, g.n)
-        tenths = round(10 * degrees / (g.n * (g.n - 1)))
-        order = matcher._search_order(pattern.graph.rows, pattern._auts, tenths / 10)
-        assert plan.graph == matcher._listed(pattern.graph, order)
+        plan = pattern._plan()
+        assert plan is matcher.prepared(plan.graph)
         assert plan.graph != pattern.graph
-        # small patterns keep index order
-        p3 = Pattern(make_pattern(PatternSpec.path(3)))
-        assert p3._plan(degrees, g.n) is p3
+        # patterns whose orbit constraints chain in index order keep it
+        for spec in (PatternSpec.complete(4), PatternSpec.star(5)):
+            pattern = Pattern(make_pattern(spec))
+            assert pattern._plan() is pattern
 
-    def test_three_densities_build_at_most_three_plans(self, monkeypatch):
-        built = []
-        search_order = matcher._search_order
-        monkeypatch.setattr(matcher, "_search_order", lambda *args: built.append(args) or search_order(*args))
+    def test_one_plan_at_every_density(self, monkeypatch):
+        listed = []
+        relabel = matcher._listed
+        monkeypatch.setattr(matcher, "_listed", lambda *args: listed.append(args) or relabel(*args))
         pattern = Pattern(make_pattern(PatternSpec.path(7)))
         rng = random.Random(5)
-        pairs = list(itertools.combinations(range(30), 2))
+        plans = set()
         for _ in range(10):
             for p in (0.2, 0.5, 0.8):
-                g = graph_from_edges(30, rng.sample(pairs, round(p * len(pairs))))
+                g = _gnp(rng, 30, p)
                 pattern._occurs_within(g.rows, (1 << g.n) - 1)
-        assert [args[2] for args in built] == [0.2, 0.5, 0.8]
-        assert len(pattern._plans) == 3
+                plans.add(id(pattern._plan()))
+        assert len(listed) == 1 and len(plans) == 1
+        assert pattern._plan() is not pattern
 
     def test_capped_automorphisms_keep_index_order(self, monkeypatch):
+        # past the work cap only twin swaps give constraints: none for the
+        # gadget patterns, so they keep index order; C4's two twin pairs
+        # still reorder it, and every plan is a relabelling of its pattern
         monkeypatch.setattr(matcher, "_ORBIT_WORK", 12)
+        # capped plans go to a cache of their own, dropped after the test
+        monkeypatch.setattr(matcher, "prepared", lru_cache(maxsize=None)(Pattern))
         rng = random.Random(11)
-        for spec in _PLANNED_SPECS:
+        for spec in _PLANNED_SPECS + [PatternSpec.cycle(4)]:
             pattern = Pattern(make_pattern(spec))
             seen = set()
             for n in range(8, 19):
@@ -1048,8 +992,9 @@ class TestDecisionPlans:
                     want = pattern.embed(g.rows) is None
                     assert (not pattern._occurs_within(g.rows, full)) == want
                     seen.add(want)
-            assert pattern._auts is None and pattern._plans == {}
-            assert pattern._plan(100, 20) is pattern
+            plan = pattern._plan()
+            assert nx.is_isomorphic(nx.Graph(plan.graph.edges()), nx.Graph(pattern.graph.edges()))
+            assert (plan is pattern) == (spec in _PLANNED_SPECS)
             assert seen == {True, False}
 
     def test_one_pattern_per_graph(self, monkeypatch):
@@ -1067,10 +1012,8 @@ class TestDecisionPlans:
         p7 = make_pattern(PatternSpec.path(7))
         for g in hosts:
             is_pattern_free(g, make_pattern(PatternSpec.path(7)))
-        assert sum(h == p7 for h in built) == 1
-        # the rest are the plans of the quotients' densities
-        pattern = matcher.prepared(p7)
-        assert len(built) == 1 + len({id(plan) for plan in pattern._plans.values() if plan is not pattern})
+        # the pattern and its one plan
+        assert built == [p7, matcher.prepared(p7)._plan().graph]
 
 
 def first_fit_colours(rows, within):

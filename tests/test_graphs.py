@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 import time
 import tracemalloc
 from functools import lru_cache
@@ -1155,6 +1156,27 @@ class TestPeel:
         k1100 = make_pattern(PatternSpec.complete(1100))
         assert not is_pattern_free(make_pattern(PatternSpec.complete(1200)), k1100)
         assert is_pattern_free(make_pattern(PatternSpec.complete(1099)), k1100)
+
+    def test_peel_limit_fits_the_default_recursion_limit(self):
+        # a clique left at the peel limit is one clique search, which
+        # recurses once per clique vertex; it must fit the interpreter's
+        # default limit of 1000 frames
+        order = matcher._PEEL_ORDER
+        clique = make_pattern(PatternSpec.complete(order))
+        assert Pattern(clique).peel == ((), "clique", order)
+        # the missing edge is the last pair, so the search fails at full depth
+        rows = list(clique.rows)
+        rows[order - 2] ^= 1 << (order - 1)
+        rows[order - 1] ^= 1 << (order - 2)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            assert is_pattern_free(Graph(order, rows), clique)
+            assert not is_pattern_free(make_pattern(PatternSpec.complete(order + 1)), clique)
+            coclique = make_pattern(PatternSpec.empty(order))
+            assert not is_pattern_free(make_pattern(PatternSpec.empty(order + 1)), coclique)
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 class TestDegeneracy:

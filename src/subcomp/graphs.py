@@ -20,13 +20,7 @@ from .errors import (
     NullGraph,
     PatternTooSmall,
 )
-from .matcher import (
-    Pattern,
-    greedy_colourable,
-    least_clique,
-    modules_avoiding,
-    prepared,
-)
+from .matcher import Pattern, prepared
 from .values import Frozen
 
 
@@ -309,91 +303,13 @@ def no_instance(h: Graph) -> Graph:
 
 
 def is_pattern_free(g: Graph, h: Graph | Pattern) -> bool:
-    """True iff g contains no induced copy of h.
+    """True iff g contains no induced copy of h (see Pattern.occurs).
 
     h may be a Pattern; a Graph gets the one Pattern that every call with
-    an equal graph shares. Decision only, so the search reaches each
-    induced copy through one embedding.
-
-    A pattern with a universal vertex c is peeled: g holds a copy iff, for
-    some vertex v, g[N(v)] holds a copy of h - c (v plays c). For an
-    isolated c the same holds with the non-neighbours of v. Peeling repeats
-    on h - c inside that mask, on an explicit stack, and a clique or an
-    independent set left at the end is one clique search, on the rows or on
-    the complement's rows, unless at least one vertex was peeled and a
-    greedy colouring with one class fewer than its order covers the mask.
+    an equal graph shares.
     """
     pattern = h if isinstance(h, Pattern) else prepared(h)
-    rows = g.rows
-    full = (1 << g.n) - 1
-    plan = pattern.peel
-    if plan is None:
-        return _free_within(rows, pattern, full)
-    sides, kind, rest = plan
-    hn = pattern.graph.n
-    if g.n < hn:
-        return True
-    co_rows = None
-    stack = [(0, full)]
-    while stack:
-        depth, mask = stack.pop()
-        if depth == len(sides):
-            if kind == "pattern":
-                found = not _free_within(rows, rest, mask)
-            else:
-                if kind == "coclique" and co_rows is None:
-                    co_rows = [full ^ row ^ 1 << v for v, row in enumerate(rows)]
-                side = rows if kind == "clique" else co_rows
-                # no bound on a whole host: a K_t check there mostly finds
-                # its clique, so the colouring would only cost time
-                found = (not (depth and greedy_colourable(side, mask, rest - 1))
-                         and least_clique(side, mask, rest) is not None)
-            if found:
-                return False
-            continue
-        need = hn - 1 - depth
-        near = sides[depth]
-        walk = mask
-        while walk:
-            vbit = walk & -walk
-            walk ^= vbit
-            row = rows[vbit.bit_length() - 1]
-            inner = mask & row if near else mask & ~(row | vbit)
-            if inner.bit_count() >= need:
-                stack.append((depth + 1, inner))
-    return True
-
-
-def _free_within(rows, pattern: Pattern, within: int) -> bool:
-    """True iff the host's induced subgraph on the mask within holds no
-    induced copy of the pattern.
-
-    A prime pattern is decided on modular quotients, on an explicit stack.
-    A copy meets each module of its host in at most one vertex or lies
-    inside it; so with v the lowest vertex of a part of the host, the part
-    holds a copy iff one of its maximal modules avoiding v does, or the
-    quotient does: v plus the lowest vertex of each such module. Each mask
-    is searched with its vertices ranked by degree inside it.
-    """
-    if not pattern.prime:
-        return not pattern._occurs_within(rows, within)
-    hn = pattern.graph.n
-    stack = [within] if within.bit_count() >= hn else []
-    while stack:
-        part = stack.pop()
-        # degrees and non-degrees inside a subset never exceed those inside
-        # the part, so a part that fails the degree filters holds no copy
-        if pattern._domains(rows, part) is None:
-            continue
-        v = (part & -part).bit_length() - 1
-        quotient = 1 << v
-        for module in modules_avoiding(rows, part, v):
-            quotient |= module & -module
-            if module.bit_count() >= hn:
-                stack.append(module)
-        if pattern._occurs_within(rows, quotient):
-            return False
-    return True
+    return not pattern.occurs(g.rows)
 
 
 def degeneracy(g: Graph) -> int:

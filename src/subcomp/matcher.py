@@ -10,12 +10,13 @@ and the order a decision places its vertices in, read off the constraints.
 pattern (see _kernel), on the host complemented on any vertex mask without
 building that graph. The budgeted searches of the pattern's automorphisms
 and a decision's ranked search are a depth-first walk over bitmask domains
-on an explicit stack (_search). `modules_avoiding` splits a host into
-modules, which a decision for a prime pattern can skip. `least_clique` is
-the clique search the split core and a peeled decision share;
-`greedy_colourable` is the bound a peeled decision tries before it. Both
-solvers search G ⊕ S through `Pattern.embed`: for K_t its least embedding
-is the clique `least_clique` finds on the flipped rows.
+on an explicit stack (_search). `Pattern.occurs` decides whether a host
+holds a copy: it peels, bounds a clique or independent set left at the end
+by a greedy colouring and searches it with `Pattern.embed`, and splits the
+host into modules (`modules_avoiding`) for a prime rest. Both solvers
+search G ⊕ S through `Pattern.embed`: for K_t its least embedding is the
+clique `least_clique`, the split core's clique search, finds on the
+flipped rows.
 """
 
 from __future__ import annotations
@@ -42,11 +43,6 @@ _ORBIT_WORK = 1 << 16
 # refuses to compile more than 20 nested blocks. Larger patterns search a
 # flipped copy of the host with _search.
 _KERNEL_ORDER = 20
-
-# Largest pattern order a decision peels. The clique search that closes a
-# peel recurses once per vertex of what is left, at most the pattern's
-# order; larger patterns keep the plain search on its explicit stack.
-_PEEL_ORDER = 400
 
 
 def _selectors(rows, later) -> tuple[bytes, ...]:
@@ -435,16 +431,13 @@ def _listed(h: Graph, order) -> Graph:
 
 
 def _peel_plan(h: Graph):
-    """How to peel the pattern h down to a base case, or None when h has
-    neither a universal nor an isolated vertex, or is too large to peel.
+    """How to peel the pattern h down to a base case: (sides, kind, left).
 
-    The plan is (sides, kind, rest). sides[i] is True when the i-th peeled
-    vertex sees every vertex left at its step, False when it sees none. The
-    vertices left after the last step form a clique of order rest
-    (kind "clique"), an independent set of order rest ("coclique"), or the
-    Pattern rest, which has neither kind of vertex ("pattern")."""
-    if h.n > _PEEL_ORDER:
-        return None
+    sides[i] is True when the i-th peeled vertex sees every vertex left at
+    its step, False when it sees none. The vertices in the list left, those
+    left after the last step, form a clique (kind "clique"), an independent
+    set ("coclique"), or a graph with neither a universal nor an isolated
+    vertex ("pattern")."""
     rows = h.rows
     left = (1 << h.n) - 1
     sides = []
@@ -452,17 +445,14 @@ def _peel_plan(h: Graph):
         k = left.bit_count()
         deg = {v: (rows[v] & left).bit_count() for v in _members(left)}
         if all(d == k - 1 for d in deg.values()):
-            return tuple(sides), "clique", k
+            return tuple(sides), "clique", _members(left)
         if not any(deg.values()):
-            return tuple(sides), "coclique", k
+            return tuple(sides), "coclique", _members(left)
         c = next((v for v, d in deg.items() if d in (0, k - 1)), None)
         if c is None:
-            break
+            return tuple(sides), "pattern", _members(left)
         sides.append(deg[c] > 0)
         left ^= 1 << c
-    if not sides:
-        return None
-    return tuple(sides), "pattern", prepared(_listed(h, _members(left)))
 
 
 class Pattern(Frozen):
@@ -521,11 +511,14 @@ class Pattern(Frozen):
 
     @property
     def peel(self):
-        """The plan for peeling universal and isolated vertices, or None
-        (see _peel_plan)."""
+        """The plan for peeling universal and isolated vertices, as (sides,
+        kind, rest): rest is the Pattern of the vertices left, the pattern
+        itself when none is peeled (see _peel_plan)."""
         if self._peel is None:
-            object.__setattr__(self, "_peel", _peel_plan(self.graph) or ())
-        return self._peel or None
+            sides, kind, left = _peel_plan(self.graph)
+            rest = prepared(_listed(self.graph, left)) if sides else self
+            object.__setattr__(self, "_peel", (sides, kind, rest))
+        return self._peel
 
     def _plan(self) -> "Pattern":
         """The pattern relabelled into the order a decision places its
@@ -577,6 +570,81 @@ class Pattern(Frozen):
             needs = tuple(self._needs[i] for i in self._need_of)
             object.__setattr__(self, "_embed", _kernel(self._steps, needs))
         return self._embed(rows, flip, within)
+
+    def occurs(self, rows) -> bool:
+        """Does the host graph with adjacency bitrows `rows` hold an induced
+        copy of the pattern? Decision only, so each copy is reached through
+        one embedding.
+
+        A pattern with a universal vertex c is peeled: the host holds a copy
+        iff, for some vertex v, its induced subgraph on N(v) holds a copy of
+        h - c (v plays c). For an isolated c the same holds with the
+        non-neighbours of v. Peeling repeats on h - c inside that mask, on
+        an explicit stack, and the rest (see peel) is searched inside each
+        mask left at the end. A clique or an independent set is its least
+        embedding, unless a greedy colouring with one class fewer than its
+        order covers the mask, on the rows or on the complement's rows. Any
+        other rest is decided on modular quotients (_occurs_in_quotients)."""
+        sides, kind, rest = self.peel
+        n = len(rows)
+        if n < self.graph.n:
+            return False
+        full = (1 << n) - 1
+        # the rows the colouring bound of a clique or independent set runs on
+        bound = [full ^ row ^ 1 << v for v, row in enumerate(rows)] if kind == "coclique" else rows
+        stack = [(0, full)]
+        while stack:
+            depth, mask = stack.pop()
+            if depth == len(sides):
+                if kind == "pattern":
+                    found = rest._occurs_in_quotients(rows, mask)
+                else:
+                    found = (not greedy_colourable(bound, mask, rest.graph.n - 1)
+                             and rest.embed(rows, within=mask) is not None)
+                if found:
+                    return True
+                continue
+            need = self.graph.n - 1 - depth
+            near = sides[depth]
+            walk = mask
+            while walk:
+                vbit = walk & -walk
+                walk ^= vbit
+                row = rows[vbit.bit_length() - 1]
+                inner = mask & row if near else mask & ~(row | vbit)
+                if inner.bit_count() >= need:
+                    stack.append((depth + 1, inner))
+        return False
+
+    def _occurs_in_quotients(self, rows, within: int) -> bool:
+        """Does the host's induced subgraph on the mask within hold a copy?
+
+        A prime pattern is decided on modular quotients, on an explicit
+        stack. A copy meets each module of its host in at most one vertex or
+        lies inside it; so with v the lowest vertex of a part of the host,
+        the part holds a copy iff one of its maximal modules avoiding v
+        does, or the quotient does: v plus the lowest vertex of each such
+        module. Each mask is searched with _occurs_within."""
+        if not self.prime:
+            return self._occurs_within(rows, within)
+        hn = self.graph.n
+        stack = [within] if within.bit_count() >= hn else []
+        while stack:
+            part = stack.pop()
+            # degrees and non-degrees inside a subset never exceed those
+            # inside the part, so a part that fails the degree filters
+            # holds no copy
+            if self._domains(rows, part) is None:
+                continue
+            v = (part & -part).bit_length() - 1
+            quotient = 1 << v
+            for module in modules_avoiding(rows, part, v):
+                quotient |= module & -module
+                if module.bit_count() >= hn:
+                    stack.append(module)
+            if self._occurs_within(rows, quotient):
+                return True
+        return False
 
     def _occurs_within(self, rows, within: int) -> bool:
         """Does the host's induced subgraph on the mask within hold a copy?

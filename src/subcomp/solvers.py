@@ -383,6 +383,9 @@ def solve_kt_free(
     """
     if t < 1:
         raise InvalidT(f"clique order must be positive, got {t}")
+    # an n-vertex graph holds no K_t above t = n, so every larger t answers
+    # as max(n + 1, 2) does, and the pattern stays small
+    t = min(t, max(g.n + 1, 2))
     kt = prepared(make_pattern(PatternSpec.complete(t)))
     custom = recognizer
     if debug_check and custom is not None:

@@ -81,12 +81,9 @@ class SplitPartition(Frozen):
         return f"SplitPartition(p={self.p}, q={self.q}, P={set(self.P.members()) or '{}'}, Q={set(self.Q.members()) or '{}'})"
 
 
-def is_split_partition(
-    g: Graph, p: int, q: int, pbits: int, qbits: int, co_rows: Optional[tuple] = None
-) -> bool:
+def is_split_partition(g: Graph, p: int, q: int, pbits: int, qbits: int) -> bool:
     """Check the two sides directly: no K_{p+1} in P, no (q+1)-independent
-    set in Q. co_rows, the rows of complement(g), saves rebuilding the
-    complement when the caller checks many candidates on one graph."""
+    set in Q."""
     if p < 1 or q < 1:
         raise InvalidArgs(f"split parameters must be positive, got ({p}, {q})")
     full = (1 << g.n) - 1
@@ -94,9 +91,7 @@ def is_split_partition(
         return False
     if least_clique(g.rows, pbits, p + 1) is not None:
         return False
-    if co_rows is None:
-        co_rows = complement(g).rows
-    return least_clique(co_rows, qbits, q + 1) is None
+    return least_clique(complement(g).rows, qbits, q + 1) is None
 
 
 def _seed_q(rows, co_rows, region: int, p: int, q: int, forced: int = 0) -> Optional[int]:
@@ -195,11 +190,10 @@ def enumerate_split_partitions(
         raise InvalidArgs(f"split parameters must be positive, got ({p}, {q})")
     if seed.P.cap != g.n or seed.Q.cap != g.n:
         raise InvalidSeed("seed partition does not index this graph")
-    co_rows = complement(g).rows
-    if not is_split_partition(g, p, q, seed.P.bits, seed.Q.bits, co_rows):
+    if not is_split_partition(g, p, q, seed.P.bits, seed.Q.bits):
         raise InvalidSeed("seed is not a valid split partition of this graph")
     full = (1 << g.n) - 1
     return [
         SplitPartition(p, q, VertexSet(full ^ qb, g.n), VertexSet(qb, g.n))
-        for qb in region_q_sides(g.rows, co_rows, full, p, q, forced_p)
+        for qb in region_q_sides(g.rows, complement(g).rows, full, p, q, forced_p)
     ]

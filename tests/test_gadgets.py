@@ -25,7 +25,7 @@ from subcomp.gadgets import (
     solution_from_assignment,
     star_inductive,
 )
-from subcomp import graphs, matcher
+from subcomp import matcher
 from subcomp.graphs import (
     Graph,
     PatternSpec,
@@ -439,18 +439,18 @@ class TestForwardSoundness:
     @pytest.mark.parametrize("phi", [PHI_41, PHI_53], ids=["1-clause", "3-clause"])
     def test_k15_neighbourhoods_fall_to_the_colouring_bound(self, monkeypatch, phi):
         # four cliques cover every neighbourhood of a flipped K1,5 gadget, so
-        # the greedy colouring at the peel's closure decides each one and no
-        # clique search runs
+        # the greedy colouring at the peel's end decides each one and no
+        # embedding search runs
         inst = k15_gadget(phi)
         g = subgraph_complement(inst.graph, solution_from_assignment(inst, brute_sat(phi, 2)))
         full = (1 << g.n) - 1
         co_rows = [full ^ row ^ 1 << v for v, row in enumerate(g.rows)]
         assert all(matcher.greedy_colourable(co_rows, row, 4) for row in g.rows)
 
-        def no_search(*args):
+        def no_search(*args, **kwargs):
             raise AssertionError("the colouring bound should have decided")
 
-        monkeypatch.setattr(graphs, "least_clique", no_search)
+        monkeypatch.setattr(matcher.Pattern, "embed", no_search)
         assert is_pattern_free(g, make_pattern(PatternSpec.star(5)))
 
     @pytest.mark.parametrize(
@@ -519,14 +519,17 @@ class TestForwardSoundness:
         # the pattern's degree filters, so only the whole host is split
         inst = p7_gadget(PHI_53)
         g = subgraph_complement(inst.graph, solution_from_assignment(inst, brute_sat(PHI_53, 2)))
+        p7 = matcher.prepared(make_pattern(PatternSpec.path(7)))
+        assert p7.prime  # decided before counting: it splits the pattern itself
         calls = []
+        modules_avoiding = matcher.modules_avoiding
 
         def counted(*args):
             calls.append(args[1])
-            return matcher.modules_avoiding(*args)
+            return modules_avoiding(*args)
 
-        monkeypatch.setattr(graphs, "modules_avoiding", counted)
-        assert is_pattern_free(g, make_pattern(PatternSpec.path(7)))
+        monkeypatch.setattr(matcher, "modules_avoiding", counted)
+        assert is_pattern_free(g, p7)
         assert calls == [(1 << g.n) - 1]
         assert not is_pattern_free(inst.graph, make_pattern(PatternSpec.path(7)))
 

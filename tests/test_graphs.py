@@ -1055,6 +1055,25 @@ class TestColouringBound:
                 g = _gnp(rng, n, p)
                 self.check(g, [(1 << n) - 1] + [rng.getrandbits(n) for _ in range(6)])
 
+    def test_whole_host_clique_checks_are_bounded(self, monkeypatch):
+        # K_t-free hosts missing a few disjoint edges, where a clique search
+        # walks the cliques of almost every size: a greedy colouring with
+        # t - 1 classes covers them, so no embedding search runs
+        def no_search(*args, **kwargs):
+            raise AssertionError("the colouring bound should have decided")
+
+        n = 38
+        full = (1 << n) - 1
+        cocktail = Graph(n, [full ^ 1 << v ^ 1 << (v ^ 1) for v in range(n)])
+        near = list(make_pattern(PatternSpec.complete(402)).rows)
+        for u, v in ((398, 399), (400, 401)):
+            near[u] ^= 1 << v
+            near[v] ^= 1 << u
+        monkeypatch.setattr(matcher.Pattern, "embed", no_search)
+        assert is_pattern_free(cocktail, make_pattern(PatternSpec.complete(20)))
+        assert is_pattern_free(complement(cocktail), make_pattern(PatternSpec.empty(20)))
+        assert is_pattern_free(Graph(402, near), make_pattern(PatternSpec.complete(401)))
+
     def test_edge_cases(self):
         rows = make_pattern(PatternSpec.path(3)).rows
         # the empty clique is everywhere; no colour covers a vertex
@@ -1064,7 +1083,7 @@ class TestColouringBound:
         assert matcher.greedy_colourable(rows, 0b101, 1)
         # K1 is a clique closure of order 1: free exactly when the host is empty
         k1 = make_pattern(PatternSpec.complete(1))
-        assert Pattern(k1).peel == ((), "clique", 1)
+        assert Pattern(k1).peel == ((), "clique", Pattern(k1))
         assert is_pattern_free(Graph(0, []), k1)
         assert not is_pattern_free(Graph(1, [0]), k1)
         assert not is_pattern_free(Graph(2, [0, 0]), make_pattern(PatternSpec.empty(2)))
@@ -1137,19 +1156,26 @@ class TestPeel:
         def plan(spec):
             return Pattern(make_pattern(spec)).peel
 
-        assert plan(PatternSpec.star(5)) == ((True,), "coclique", 5)
-        assert plan(PatternSpec.complement_of(PatternSpec.star(5))) == ((False,), "clique", 5)
-        assert plan(PatternSpec.complete(4)) == ((), "clique", 4)
-        assert plan(PatternSpec.empty(3)) == ((), "coclique", 3)
-        assert plan(PatternSpec.path(4)) is None
+        def pattern(spec):
+            return Pattern(make_pattern(spec))
+
+        assert plan(PatternSpec.star(5)) == ((True,), "coclique", pattern(PatternSpec.empty(5)))
+        assert plan(PatternSpec.complement_of(PatternSpec.star(5))) == (
+            (False,), "clique", pattern(PatternSpec.complete(5)))
+        assert plan(PatternSpec.complete(4)) == ((), "clique", pattern(PatternSpec.complete(4)))
+        assert plan(PatternSpec.empty(3)) == ((), "coclique", pattern(PatternSpec.empty(3)))
+        # a pattern that does not peel is its own rest
+        p4 = pattern(PatternSpec.path(4))
+        sides, kind, rest = p4.peel
+        assert (sides, kind) == ((), "pattern") and rest is p4
         sides, kind, rest = Pattern(_wheel(5)).peel
         assert (sides, kind) == ((True,), "pattern")
         assert rest.graph == make_pattern(PatternSpec.cycle(5)) and rest.prime
 
     def test_large_patterns_keep_the_explicit_stack(self):
-        # past the peel limit the plain search decides, without recursion
+        # large patterns peel too, and their ends search on the explicit stack
         star = make_pattern(PatternSpec.star(1000))
-        assert Pattern(star).peel is None
+        assert Pattern(star).peel == ((True,), "coclique", Pattern(make_pattern(PatternSpec.empty(1000))))
         assert not is_pattern_free(star, star)
         co_star = make_pattern(PatternSpec.complement_of(PatternSpec.star(1000)))
         assert not is_pattern_free(co_star, co_star)
@@ -1157,24 +1183,32 @@ class TestPeel:
         assert not is_pattern_free(make_pattern(PatternSpec.complete(1200)), k1100)
         assert is_pattern_free(make_pattern(PatternSpec.complete(1099)), k1100)
 
-    def test_peel_limit_fits_the_default_recursion_limit(self):
-        # a clique left at the peel limit is one clique search, which
-        # recurses once per clique vertex; it must fit the interpreter's
-        # default limit of 1000 frames
-        order = matcher._PEEL_ORDER
-        clique = make_pattern(PatternSpec.complete(order))
-        assert Pattern(clique).peel == ((), "clique", order)
-        # the missing edge is the last pair, so the search fails at full depth
-        rows = list(clique.rows)
-        rows[order - 2] ^= 1 << (order - 1)
-        rows[order - 1] ^= 1 << (order - 2)
+    def test_peeled_decisions_need_no_recursion(self):
+        # every end of a peel is a colouring bound and an embedding search,
+        # both loops on explicit stacks, so patterns of any order decide
+        # within the interpreter's default limit of 1000 frames
+        k401 = make_pattern(PatternSpec.complete(401))
+        e401 = make_pattern(PatternSpec.empty(401))
+        star = make_pattern(PatternSpec.star(450))
+        assert Pattern(star).peel[:2] == ((True,), "coclique")
+
+        def missing_last_pair(g):
+            rows = list(g.rows)
+            rows[g.n - 2] ^= 1 << (g.n - 1)
+            rows[g.n - 1] ^= 1 << (g.n - 2)
+            return Graph(g.n, rows)
+
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(1000)
         try:
-            assert is_pattern_free(Graph(order, rows), clique)
-            assert not is_pattern_free(make_pattern(PatternSpec.complete(order + 1)), clique)
-            coclique = make_pattern(PatternSpec.empty(order))
-            assert not is_pattern_free(make_pattern(PatternSpec.empty(order + 1)), coclique)
+            assert not is_pattern_free(make_pattern(PatternSpec.complete(402)), k401)
+            assert is_pattern_free(missing_last_pair(k401), k401)
+            assert not is_pattern_free(missing_last_pair(make_pattern(PatternSpec.complete(402))), k401)
+            assert not is_pattern_free(make_pattern(PatternSpec.empty(402)), e401)
+            assert is_pattern_free(missing_last_pair(e401), e401)
+            assert not is_pattern_free(make_pattern(PatternSpec.star(451)), star)
+            # the leaves of a K1,450 with one edge among them hold no E_450
+            assert is_pattern_free(missing_last_pair(star), star)
         finally:
             sys.setrecursionlimit(limit)
 

@@ -325,6 +325,22 @@ class TestSolveKtFree:
         assert solve_kt_free(Graph(0, []), 1).status == "Yes"
         assert solve_kt_free(Graph(3, [0, 0, 0]), 1).status == "No"
 
+    def test_t_far_above_the_host_answers_as_n_plus_one(self):
+        # a 5-vertex graph holds no K_t above t = 5: t = 10**6 must report
+        # what t = 6 does, without building a pattern of order 10**6
+        def stripped(r):
+            doc = r.to_json()
+            del doc["stats"]["elapsed"]
+            return doc
+
+        rng = random.Random(31)
+        for _ in range(20):
+            g = random_graph(rng, 5)
+            for recognizer in (None, kt_free_recognizer(3), _degenerate(3)):
+                want = solve_kt_free(g, 6, recognizer=recognizer)
+                got = solve_kt_free(g, 10**6, recognizer=recognizer)
+                assert stripped(got) == stripped(want), g.rows
+
     def test_k4(self):
         k4 = make_pattern(PatternSpec.complete(4))
         r = solve_kt_free(k4, 3)

@@ -67,7 +67,6 @@ def _exchange_sweep(g, p, q, seed, forced_p=0):
     """A reference that leans on the Ramsey bound: from a valid seed, sweep
     every exchange X ⊆ P and Y ⊆ Q below the bound and validate each
     candidate from scratch. Q sides, sorted by P side."""
-    co_rows = complement(g).rows
     bound = ramsey_bound(p + 1, q + 1).value
     must = seed.Q.bits & forced_p
     y_room = bound - 1 - must.bit_count()
@@ -86,7 +85,7 @@ def _exchange_sweep(g, p, q, seed, forced_p=0):
                     if pb in found:
                         continue
                     qb = (seed.Q.bits ^ ym) | xm
-                    if is_split_partition(g, p, q, pb, qb, co_rows):
+                    if is_split_partition(g, p, q, pb, qb):
                         found[pb] = qb
     return [qb for _, qb in sorted(found.items())]
 
@@ -364,7 +363,7 @@ class TestEnumerate:
                         assert (qbits is not None) == exists, (g.rows, p, q, forced)
                         if qbits is not None:
                             assert qbits & forced == 0
-                            assert is_split_partition(g, p, q, full ^ qbits, qbits, co_rows)
+                            assert is_split_partition(g, p, q, full ^ qbits, qbits)
 
     def test_enumeration_is_seed_independent(self):
         # growing from any valid partition must reach the same set

@@ -6,6 +6,8 @@ split-partition structures behind the polynomial solver, and generate the
 SAT reduction instances showing where the problem turns hard.
 """
 
+import types as _types
+
 from .errors import (
     CapMismatch,
     GadgetTooLarge,
@@ -75,7 +77,6 @@ from .sat import (
 from .solvers import (
     SolveReport,
     brute_solve,
-    kt_free_recognizer,
     solve_complement_class,
     solve_kt_free,
 )
@@ -88,76 +89,10 @@ from .split import (
     ramsey_bound,
 )
 
-__all__ = [
-    "Assignment",
-    "CapMismatch",
-    "CnfFormula",
-    "GadgetInstance",
-    "GadgetTooLarge",
-    "Graph",
-    "InvalidArgs",
-    "InvalidPattern",
-    "InvalidSeed",
-    "InvalidT",
-    "KindMismatch",
-    "LengthMismatch",
-    "MalformedG6",
-    "NonUniformClause",
-    "NotSatisfying",
-    "NullGraph",
-    "ParseError",
-    "PatternSpec",
-    "PatternTooSmall",
-    "RamseyBound",
-    "RecognizerMismatch",
-    "RepeatedVariable",
-    "Role",
-    "SolveReport",
-    "SplitPartition",
-    "SubcompError",
-    "TooManyVariables",
-    "VertexSet",
-    "WidthTooSmall",
-    "WrongWidth",
-    "assignment_from_solution",
-    "brute_sat",
-    "brute_solve",
-    "c8_gadget",
-    "certificate_json",
-    "check_threshold",
-    "complement",
-    "cross_product",
-    "cycle_inductive",
-    "degeneracy",
-    "disjoint_union",
-    "emit_dimacs",
-    "enumerate_split_partitions",
-    "expected_size",
-    "find_split_partition",
-    "g6_decode",
-    "g6_encode",
-    "graph_from_edges",
-    "graph_from_json",
-    "graph_to_json",
-    "induced",
-    "is_module",
-    "is_pattern_free",
-    "is_split_partition",
-    "k15_gadget",
-    "kt_free_recognizer",
-    "lift",
-    "make_pattern",
-    "no_instance",
-    "p7_gadget",
-    "p8_gadget",
-    "parse_dimacs",
-    "path_inductive",
-    "ramsey_bound",
-    "solution_from_assignment",
-    "solve_complement_class",
-    "solve_kt_free",
-    "star_inductive",
-    "subgraph_complement",
-]
+# every name imported above is public; the submodules bound as attributes are not
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+)
 
 __version__ = "0.1.0"

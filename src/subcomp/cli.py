@@ -160,20 +160,24 @@ def cmd_solve(args) -> int:
         spec = parse_pattern_token(args.pattern)
         if spec.order > top:
             spec = PatternSpec.complete(top)
-        report = brute_solve(g, make_pattern(spec), cap=args.budget)
     else:
         t = min(args.t, top)
+        spec = (PatternSpec.complete if args.target == "kt" else PatternSpec.empty)(t)
+    # brute force takes any pattern, E_t included; the structured solver only
+    # knows K_t and reaches E_t-freeness through the complement. Patterns are
+    # built when used, so -t 0 raises InvalidT on structured kt
+    if args.target == "pattern" or args.brute:
+        report = brute_solve(g, make_pattern(spec), cap=args.budget)
+    else:
         recognizer = _degenerate_recognizer(t) if args.recognizer == "degenerate" else None
 
         def base(h: Graph) -> SolveReport:
-            if args.brute:
-                return brute_solve(h, make_pattern(PatternSpec.complete(t)), cap=args.budget)
             return solve_kt_free(h, t, recognizer=recognizer, cap=args.budget)
 
         if args.target == "kt":
             report = base(g)
         else:
-            co_target = make_pattern(PatternSpec.empty(t))
+            co_target = make_pattern(spec)
             report = solve_complement_class(
                 g, base, bar_recognizer=lambda h: is_pattern_free(h, co_target)
             )

@@ -52,7 +52,8 @@ class InvalidT(SubcompError):
 
 
 class RecognizerMismatch(SubcompError):
-    """Debug cross-check: recognizer accepted a graph outside the K_t-free class."""
+    """solve_complement_class: a Yes from the complement side fails the
+    target recognizer."""
 
 
 # CNF handling

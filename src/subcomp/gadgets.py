@@ -70,6 +70,9 @@ class GadgetInstance(Frozen):
                 out.append(v)
         return out
 
+    def _key(self) -> tuple:
+        return (self.graph, self.kind, self.roles, tuple(sorted(self.params.items())))
+
     def __repr__(self) -> str:
         return f"GadgetInstance({self.kind}, n={self.graph.n})"
 

@@ -40,8 +40,8 @@ _ORBIT_WORK = 1 << 16
 
 # Largest pattern order `Pattern.embed` compiles a kernel for (see _kernel).
 # A kernel nests one loop per pattern vertex but the last, and CPython
-# refuses to compile more than 20 nested blocks. Larger patterns search a
-# flipped copy of the host with _search.
+# before 3.13 compiles at most 20 nested blocks (3.13: 21). Larger
+# patterns search a flipped copy of the host with _search.
 _KERNEL_ORDER = 20
 
 

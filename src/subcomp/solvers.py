@@ -20,7 +20,7 @@ import time
 from math import comb
 from typing import Callable, Optional
 
-from .errors import InvalidT, PatternTooSmall, RecognizerMismatch
+from .errors import InvalidT, RecognizerMismatch
 from .graphs import (
     Graph,
     PatternSpec,
@@ -76,9 +76,12 @@ class SolveReport(Frozen):
         return {
             "status": self.status,
             "solution": None if self.solution is None else list(self.solution.members()),
-            "stats": self.stats,
+            "stats": dict(self.stats),
             "verified": self.verified,
         }
+
+    def _key(self) -> tuple:
+        return (self.status, self.solution, tuple(sorted(self.stats.items())), self.verified)
 
     def __repr__(self) -> str:
         if self.status == YES:
@@ -147,12 +150,7 @@ def brute_solve(g: Graph, h: Graph | Pattern, cap: int = DEFAULT_SUBSET_CAP) -> 
     subsets, rejected ones included.
     """
     start = time.perf_counter()
-    if isinstance(h, Pattern):
-        pattern = h
-    elif h.n < 1:
-        raise PatternTooSmall("forbidden pattern must have at least one vertex")
-    else:
-        pattern = prepared(h)
+    pattern = h if isinstance(h, Pattern) else prepared(h)
     if pattern.graph.n == 1:
         # only the null graph avoids an induced single vertex
         if g.n == 0:
@@ -259,11 +257,6 @@ def brute_solve(g: Graph, h: Graph | Pattern, cap: int = DEFAULT_SUBSET_CAP) -> 
     return _report(NO, None, start, examined, searches)
 
 
-def kt_free_recognizer(t: int) -> Callable[[Graph], bool]:
-    kt = prepared(make_pattern(PatternSpec.complete(t)))
-    return lambda g: is_pattern_free(g, kt)
-
-
 def _region_masks(g: Graph, u: int, v: int) -> tuple[int, int, int, int]:
     """Masks of the four regions around the pair u, v: common neighborhood,
     common non-neighborhood, and each side's exclusive neighborhood. The
@@ -334,7 +327,6 @@ def solve_kt_free(
     g: Graph,
     t: int,
     recognizer: Optional[Callable[[Graph], bool]] = None,
-    debug_check: bool = False,
     cap: int = DEFAULT_SUBSET_CAP,
 ) -> SolveReport:
     """Decide whether some subset complements g into a K_t-free graph.
@@ -373,9 +365,7 @@ def solve_kt_free(
     which that search decides). The region argument holds for any subclass
     of the K_t-free graphs, so a custom recognizer is only asked about
     candidates the search found K_t-free, and about g itself at step 0; G ⊕ S
-    is built as a Graph only for such a question. With debug_check on, every
-    verdict of a custom recognizer is cross-checked against the default and
-    a disagreement raises RecognizerMismatch.
+    is built as a Graph only for such a question.
 
     Stops with Unknown after examining `cap` candidate sets. A cut branch
     counts every candidate in it, so within a pair the count is the one a
@@ -387,21 +377,9 @@ def solve_kt_free(
     # as max(n + 1, 2) does, and the pattern stays small
     t = min(t, max(g.n + 1, 2))
     kt = prepared(make_pattern(PatternSpec.complete(t)))
-    custom = recognizer
-    if debug_check and custom is not None:
-        inner = custom
-
-        def custom(gg: Graph, _inner=inner) -> bool:
-            got = _inner(gg)
-            if got != is_pattern_free(gg, kt):
-                raise RecognizerMismatch(
-                    f"recognizer disagrees with K_{t}-freeness on a {gg.n}-vertex graph"
-                )
-            return got
-
     start = time.perf_counter()
     calls = 1  # step 0
-    if custom(g) if custom is not None else is_pattern_free(g, kt):
+    if recognizer(g) if recognizer is not None else is_pattern_free(g, kt):
         return _report(YES, VertexSet.empty(g.n), start, 0, calls)
     if t == 1:
         # K_1-free means null; complementing never removes vertices
@@ -473,11 +451,11 @@ def solve_kt_free(
                     copy = kt.embed(rows, flip=s)
                     if copy is None:
                         calls += 1
-                        if custom is None or custom(subgraph_complement(g, VertexSet(s, n))):
-                            return _report(YES, VertexSet(s, n), start, examined, calls,
-                                           pairs, pruned)
+                        found = VertexSet(s, n)
+                        if recognizer is None or recognizer(subgraph_complement(g, found)):
+                            return _report(YES, found, start, examined, calls, pairs, pruned)
                         continue
-                    calls += custom is None  # that search is the default recognizer
+                    calls += recognizer is None  # that search is the default recognizer
                     w = _vertex_mask(copy)
                     level = _first_inside(w, decided)
                     cuts[level].append((w, s & w))

@@ -188,6 +188,17 @@ class TestSolve:
         assert code == 65
         assert json.loads(capsys.readouterr().err)["error"] == "InvalidPattern"
 
+    def test_t_zero_exits_65(self, tmp_path, capsys):
+        # the structured kt solver refuses the clique order itself; every
+        # other path builds K_0 or E_0 first, which the pattern builder refuses
+        path = write_g6(tmp_path, C5_G6)
+        for target, flags, error in (("kt", [], "InvalidT"), ("kt-bar", [], "InvalidPattern"),
+                                     ("kt", ["--brute"], "InvalidPattern"),
+                                     ("kt-bar", ["--brute"], "InvalidPattern")):
+            code = main(["solve", "--target", target, "-t", "0", *flags, path])
+            assert code == 65
+            assert json.loads(capsys.readouterr().err)["error"] == error, (target, flags)
+
     def test_zero_budget_exits_65(self, tmp_path, capsys):
         code = main([
             "solve", "--target", "kt", "-t", "3", "--budget", "0",
@@ -209,8 +220,10 @@ class TestSolve:
         assert json.loads(capsys.readouterr().err)["error"] == "IsADirectoryError"
 
     def test_t_above_n_answers_as_the_solvers_do(self, tmp_path, capsys):
-        # the CLI clamps t to max(n + 1, 2); its reports must equal those of
-        # the solvers called with the unclamped t, on every graph with n <= 4
+        # the CLI clamps t to max(n + 1, 2), and --brute runs brute_solve on
+        # K_t or E_t directly; its reports must equal those of the solvers
+        # called with the unclamped t, kt-bar through the complement, on
+        # every graph with n <= 4 and every t from 2 up
         def unclamped(g, t, target, brute, degenerate):
             recognizer = cli._degenerate_recognizer(t) if degenerate else None
 
@@ -227,12 +240,13 @@ class TestSolve:
 
         modes = [([], False, False), (["--recognizer", "degenerate"], False, True),
                  (["--brute"], True, False)]
+        exit_codes = {"Yes": 0, "No": 1, "Unknown": 2}
         for n in range(5):
             pairs = [(a, b) for b in range(n) for a in range(b)]
             for mask in range(1 << len(pairs)):
                 g = graph_from_edges(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
                 path = write_g6(tmp_path, g6_encode(g))
-                for t in range(n + 1, n + 5):
+                for t in range(2, n + 5):
                     for target in ("kt", "kt-bar"):
                         for flags, brute, degenerate in modes:
                             code = main(["solve", "--target", target, "-t", str(t),
@@ -240,7 +254,8 @@ class TestSolve:
                             got = last_json(capsys)
                             want = unclamped(g, t, target, brute, degenerate).to_json()
                             del got["stats"]["elapsed"], want["stats"]["elapsed"]
-                            assert (code, got) == (0, want), (g.edges(), t, target, flags)
+                            assert (code, got) == (exit_codes[want["status"]], want), (
+                                g.edges(), t, target, flags)
 
     def test_large_t_builds_no_large_pattern(self, tmp_path, capsys, monkeypatch):
         # a spy on the pattern specs; it refuses a large order before the

@@ -1582,7 +1582,7 @@ def test_public_surface():
 
     for name in subcomp.__all__:
         assert getattr(subcomp, name) is not None, name
-    for name in ("find_induced", "InducedCopy", "all_adjacent"):
+    for name in ("find_induced", "InducedCopy", "all_adjacent", "kt_free_recognizer"):
         assert name not in subcomp.__all__
         assert not hasattr(subcomp, name)
     assert not hasattr(Pattern, "vertex_transitive")
@@ -1630,3 +1630,19 @@ class TestFrozen:
         assert PatternSpec.path(4) != PatternSpec.cycle(4)
         assert VertexSet(1, 2) != VertexSet(1, 3)
         assert VertexSet(1, 2) != Graph(0, [])
+        # a dict field hashes by its items, whatever their insertion order
+        a = SolveReport("No", None, {"subsets_examined": 3, "elapsed": 0.5}, False)
+        b = SolveReport("No", None, {"elapsed": 0.5, "subsets_examined": 3}, False)
+        assert a == b and hash(a) == hash(b)
+        assert a != SolveReport("No", None, {"subsets_examined": 4, "elapsed": 0.5}, False)
+        phi = CnfFormula(4, [[1, -2, 3, 4]])
+        g = GadgetInstance(Graph(0, []), "K15", [], {"phi": phi, "dummy_clause_added": False})
+        h = GadgetInstance(Graph(0, []), "K15", [], {"dummy_clause_added": False, "phi": phi})
+        assert g == h and hash(g) == hash(h)
+
+    def test_report_json_is_a_copy(self):
+        # editing the JSON document, as callers that strip elapsed do,
+        # leaves the report's own stats alone
+        r = SolveReport("No", None, {"subsets_examined": 3, "elapsed": 0.5}, False)
+        del r.to_json()["stats"]["elapsed"]
+        assert r.stats == {"subsets_examined": 3, "elapsed": 0.5}

@@ -27,7 +27,6 @@ from subcomp.solvers import (
     _region_masks,
     _rule_out_pairs,
     brute_solve,
-    kt_free_recognizer,
     solve_complement_class,
     solve_kt_free,
 )
@@ -113,6 +112,12 @@ def _kt_sweep(g: Graph, t: int, recognizer):
                 if recognizer(subgraph_complement(g, s)):
                     return "Yes", s.bits, pairs, examined
     return "No", None, pairs, examined
+
+
+def _kt_free(t):
+    """The K_t-free graphs, as a recognizer."""
+    kt = make_pattern(PatternSpec.complete(t))
+    return lambda gg: is_pattern_free(gg, kt)
 
 
 def _degenerate(t):
@@ -336,7 +341,7 @@ class TestSolveKtFree:
         rng = random.Random(31)
         for _ in range(20):
             g = random_graph(rng, 5)
-            for recognizer in (None, kt_free_recognizer(3), _degenerate(3)):
+            for recognizer in (None, _kt_free(3), _degenerate(3)):
                 want = solve_kt_free(g, 6, recognizer=recognizer)
                 got = solve_kt_free(g, 10**6, recognizer=recognizer)
                 assert stripped(got) == stripped(want), g.rows
@@ -378,7 +383,7 @@ class TestSolveKtFree:
     def test_recognizer_calls_include_step_zero(self):
         # step 0 asks about g itself; after it, only candidates whose K_3
         # search found no copy reach the recognizer, each one once
-        k3_free = kt_free_recognizer(3)
+        k3_free = _kt_free(3)
         cases = (
             (make_pattern(PatternSpec.cycle(5)), k3_free),
             (make_pattern(PatternSpec.complete(4)), k3_free),
@@ -455,16 +460,6 @@ class TestSolveKtFree:
         out = subgraph_complement(c6, r.solution)
         assert degeneracy(out) <= 1
 
-    def test_debug_check_catches_lying_recognizer(self):
-        k4 = make_pattern(PatternSpec.complete(4))
-        with pytest.raises(RecognizerMismatch):
-            solve_kt_free(k4, 3, recognizer=lambda g: True, debug_check=True)
-
-    def test_debug_check_passes_honest_recognizer(self):
-        k4 = make_pattern(PatternSpec.complete(4))
-        r = solve_kt_free(k4, 3, recognizer=kt_free_recognizer(3), debug_check=True)
-        assert r.status == "Yes"
-
 
 class TestKtWitnesses:
     """solve_kt_free against _kt_sweep, which keeps no witnesses."""
@@ -481,7 +476,7 @@ class TestKtWitnesses:
                 for g in pool:
                     r = solve_kt_free(g, t, recognizer=target)
                     status, solution, pairs, examined = _kt_sweep(
-                        g, t, target or kt_free_recognizer(t)
+                        g, t, target or _kt_free(t)
                     )
                     got = None if r.solution is None else r.solution.bits
                     assert (r.status, got) == (status, solution), (g.rows, t)

@@ -137,11 +137,11 @@ def _degenerate_recognizer(t: int):
 def cmd_solve(args) -> int:
     # flag-combination errors are usage errors (64) and must not be masked
     # by input IO, so they are checked before the graph is read
+    if args.recognizer == "degenerate" and (args.target == "pattern" or args.brute):
+        args.parser.error("--recognizer degenerate needs --target kt or kt-bar without --brute")
     if args.target == "pattern":
         if args.pattern is None:
             args.parser.error("--target pattern requires --pattern")
-        if args.recognizer == "degenerate":
-            args.parser.error("--recognizer degenerate only applies to kt targets")
     else:
         if args.t is None:
             args.parser.error(f"--target {args.target} requires -t")

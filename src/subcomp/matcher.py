@@ -584,7 +584,11 @@ class Pattern(Frozen):
         mask left at the end. A clique or an independent set is its least
         embedding, unless a greedy colouring with one class fewer than its
         order covers the mask, on the rows or on the complement's rows. Any
-        other rest is decided on modular quotients (_occurs_in_quotients)."""
+        other rest is decided on modular quotients (_occurs_in_quotients).
+        Host vertices whose first-level masks plus themselves are equal are
+        twins (true twins for a universal c, false for an isolated one).
+        Swapping two is an automorphism of the host that maps one mask onto
+        the other, so only the first of them popped is decided."""
         sides, kind, rest = self.peel
         n = len(rows)
         if n < self.graph.n:
@@ -592,9 +596,15 @@ class Pattern(Frozen):
         full = (1 << n) - 1
         # the rows the colouring bound of a clique or independent set runs on
         bound = [full ^ row ^ 1 << v for v, row in enumerate(rows)] if kind == "coclique" else rows
-        stack = [(0, full)]
+        stack = [(0, full, 0)]
+        seen = set()
         while stack:
-            depth, mask = stack.pop()
+            depth, mask, vbit = stack.pop()
+            if depth == 1:
+                key = mask | vbit
+                if key in seen:
+                    continue
+                seen.add(key)
             if depth == len(sides):
                 if kind == "pattern":
                     found = rest._occurs_in_quotients(rows, mask)
@@ -613,7 +623,7 @@ class Pattern(Frozen):
                 row = rows[vbit.bit_length() - 1]
                 inner = mask & row if near else mask & ~(row | vbit)
                 if inner.bit_count() >= need:
-                    stack.append((depth + 1, inner))
+                    stack.append((depth + 1, inner, vbit))
         return False
 
     def _occurs_in_quotients(self, rows, within: int) -> bool:

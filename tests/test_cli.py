@@ -363,6 +363,10 @@ class TestUsageErrors:
             ["gen", "p7", "--dummy-clause", "x.cnf"],
             ["frobnicate"],
             [],
+            # brute force runs no recognizer, so the subclass asked for
+            # would go unchecked: C5 is K3-free but not 1-degenerate
+            ["solve", "--target", "kt", "-t", "3", "--brute", "--recognizer", "degenerate", "x.g6"],
+            ["solve", "--target", "kt-bar", "-t", "3", "--brute", "--recognizer", "degenerate", "x.g6"],
         ],
     )
     def test_usage_exit_64(self, argv, capsys, tmp_path):

@@ -453,6 +453,26 @@ class TestForwardSoundness:
         monkeypatch.setattr(matcher.Pattern, "embed", no_search)
         assert is_pattern_free(g, make_pattern(PatternSpec.star(5)))
 
+    @pytest.mark.parametrize("phi", [PHI_41, PHI_53], ids=["1-clause", "3-clause"])
+    def test_k15_check_decides_one_vertex_per_twin_class(self, monkeypatch, phi):
+        # the peel walks every vertex, but true twins (equal closed
+        # neighbourhoods) give the same answer, so at most one colouring
+        # runs per class
+        inst = k15_gadget(phi)
+        g = subgraph_complement(inst.graph, solution_from_assignment(inst, brute_sat(phi, 2)))
+        classes = len({row | 1 << v for v, row in enumerate(g.rows)})
+        assert classes < g.n
+        calls = []
+        colourable = matcher.greedy_colourable
+
+        def counted(*args):
+            calls.append(args)
+            return colourable(*args)
+
+        monkeypatch.setattr(matcher, "greedy_colourable", counted)
+        assert is_pattern_free(g, make_pattern(PatternSpec.star(5)))
+        assert 0 < len(calls) <= classes
+
     @pytest.mark.parametrize(
         "build,pattern",
         [(k15_gadget, PatternSpec.star(5)), (p7_gadget, PatternSpec.path(7))],

@@ -1110,6 +1110,21 @@ def _peelable_shapes():
     return shapes + [_wheel(5)]
 
 
+def _blown_up(rng, h, true_twins):
+    """A random graph, or sometimes h, with each vertex replaced by a class
+    of one to four twins, vertex order shuffled: true twins (the class is a
+    clique) or false twins (an independent set)."""
+    base = h if rng.random() < 0.3 else random_graph(rng, rng.randint(2, 6))
+    sizes = [rng.randint(1, 4) for _ in range(base.n)]
+    owner = [v for v, size in enumerate(sizes) for _ in range(size)]
+    rng.shuffle(owner)
+    n = len(owner)
+    rows = [sum(1 << y for y in range(n) if y != x and (
+        base.has_edge(owner[x], owner[y]) or (true_twins and owner[x] == owner[y])))
+        for x in range(n)]
+    return Graph(n, rows)
+
+
 def _gnp(rng, n, p):
     return graph_from_edges(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < p])
 
@@ -1145,11 +1160,22 @@ class TestPeel:
         assert self.answers(hosts, patterns) == {True, False}
 
     def test_substituted_hosts(self):
-        # full of twins, so the first peel skips most host vertices
+        # full of modules, so copies of h span several modules or lie
+        # inside one
         rng = random.Random(17)
         seen = set()
         for h in _peelable_shapes():
             seen |= self.answers([substituted(rng, h, 1) for _ in range(30)], [Pattern(h)])
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("true_twins", [True, False], ids=["true-twins", "false-twins"])
+    def test_twin_heavy_hosts(self, true_twins):
+        # the first peel level decides one vertex per twin class; blown-up
+        # hosts have classes of up to four twins of either kind
+        rng = random.Random(29 + true_twins)
+        seen = set()
+        for h in _peelable_shapes():
+            seen |= self.answers([_blown_up(rng, h, true_twins) for _ in range(20)], [Pattern(h)])
         assert seen == {True, False}
 
     def test_plans(self):
